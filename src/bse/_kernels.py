@@ -3,8 +3,7 @@
 The backend is chosen once at import time.  Set ``BSE_NUMBA=0`` in the
 environment to force the numpy fallback path; anything else (or an
 importable numba) selects the jitted path.  ``bse.kernel_backend()``
-reports which one is active, and ``benchmarks/bench_kernels.py`` times
-both implementations side by side.
+reports which one is active.
 
 Both paths compute identical quantities; floating-point summation order
 differs, so results agree to roundoff but not bit-for-bit across

@@ -149,7 +149,6 @@ def _csr_triplets(a: CsrMatrix):
     return rows, a.indices, a.data
 
 
-@functools.lru_cache(maxsize=16)
 def assemble_basic(mesh: Mesh) -> BasicForms:
     """P1 stiffness and consistent mass on the bulk and the boundary polyline."""
     rows, cols, stiff, mass, _ = _kernels.tri_entries(mesh.vertices, mesh.triangles)

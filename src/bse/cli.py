@@ -145,10 +145,9 @@ def _task_solve(cfg, msh, params, outdir, fourth):
     from .solver import solve_fourth, solve_second
 
     f, g, strict = _nodal_sources(cfg, msh)
-    tol = float(cfg.get("eig", {}).get("tol", 1e-12))
     t0 = time.perf_counter()
     solve = solve_fourth if fourth else solve_second
-    report = solve(msh, params, f, g, tol=tol, strict=strict)
+    report = solve(msh, params, f, g, strict=strict)
     elapsed = time.perf_counter() - t0
 
     u = report.field.u
@@ -165,6 +164,7 @@ def _task_solve(cfg, msh, params, outdir, fourth):
         "defect_mean": report.defect_mean,
         "residual": report.residual,
         "iterations": report.iterations,
+        "method": report.method,
         "norm_u_max": float(np.max(np.abs(u))),
         "norm_v_max": float(np.max(np.abs(v))),
         "seconds": elapsed,

@@ -23,7 +23,6 @@ from .assembly import (
 from .errors import InvalidArgumentError, SingularSystemError
 from .linalg import FactorizedConstrainedSolver, eig_dense_generalized
 from .mesh import Mesh, measures
-from .solver import constraint_set, coupled_matrix
 
 log = logging.getLogger(__name__)
 
@@ -157,8 +156,8 @@ def eig_second(mesh: Mesh, params: ProblemParams, k: int, backend="dense") -> Ei
     if backend != "dense":
         raise InvalidArgumentError(f"unknown eigen backend {backend!r}")
     forms = assemble_basic(mesh)
-    a_cpl = coupled_matrix(forms, params.K, params.alpha, params.gamma)
-    cs = constraint_set(forms, params.K, params.alpha, params.alpha)
+    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
+    cs = build_constraints(forms, params.K, params.alpha, params.alpha)
     sub = _Subspace(a_cpl, cs)
     if not 1 <= k <= sub.dim:
         raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
@@ -178,15 +177,15 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     """
     forms = assemble_basic(mesh)
     params.check_nondegenerate(measures(mesh))
-    a_cpl = coupled_matrix(forms, params.K, params.alpha, params.gamma)
-    cs = constraint_set(forms, params.K, params.alpha, params.beta)
+    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
+    cs = build_constraints(forms, params.K, params.alpha, params.beta)
     sub = _Subspace(a_cpl, cs)
     if not 1 <= k <= sub.dim:
         raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
     a_zz = sub.reduce_dense(a_cpl)
 
-    a_inner = coupled_matrix(forms, params.L, params.beta, params.gamma)
-    cs_inner = constraint_set(forms, params.L, params.beta, params.alpha)
+    a_inner = assemble_coupled(forms, params.L, params.beta, params.gamma)
+    cs_inner = build_constraints(forms, params.L, params.beta, params.alpha)
     solver = FactorizedConstrainedSolver(a_inner, cs_inner)
     z = sub.basis_full()
     mass = forms.block_mass
@@ -205,8 +204,8 @@ def poincare_constant(mesh: Mesh, params: ProblemParams) -> float:
     beta-mean-constrained subspace: inverse square root of the smallest
     constrained eigenvalue of the energy/mass pencil."""
     forms = assemble_basic(mesh)
-    a_cpl = coupled_matrix(forms, params.K, params.alpha, params.gamma)
-    cs = constraint_set(forms, params.K, params.alpha, params.beta)
+    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
+    cs = build_constraints(forms, params.K, params.alpha, params.beta)
     sub = _Subspace(a_cpl, cs)
     a_zz = sub.reduce_dense(a_cpl)
     m_zz = sub.reduce_dense(forms.block_mass)
@@ -228,8 +227,8 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     import scipy.sparse as sp
 
     forms = assemble_basic(mesh)
-    a_cpl = coupled_matrix(forms, params.K, params.alpha, params.gamma)
-    cs = constraint_set(forms, params.K, params.alpha, params.beta)
+    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
+    cs = build_constraints(forms, params.K, params.alpha, params.beta)
     sub = _Subspace(a_cpl, cs)
     a_zz = sub.reduce_dense(a_cpl)
     h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],

@@ -7,7 +7,6 @@ the intermediate pair is retained on the report.  The module also exposes
 the energy, product-L2, and solution-induced dual inner products.
 """
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .assembly import (
     project_compatible,
 )
 from .errors import IncompatibleSourceError, InvalidArgumentError
-from .linalg import DEFAULT_TOL, solve_constrained
+from .linalg import solve_constrained
 from .mesh import Mesh, measures
 
 log = logging.getLogger(__name__)
@@ -40,7 +39,8 @@ class SolveReport:
 
     ``defect_compat`` is the compatibility defect of the sources before any
     projection, ``defect_compat_post`` after; ``defect_mean`` is |c.x| of
-    the returned solution.  For fourth-order solves ``intermediate`` holds
+    the returned solution; ``method`` names the constrained-solve path
+    (``"splu"`` by default).  For fourth-order solves ``intermediate`` holds
     the auxiliary pair produced by the first stage.
     """
 
@@ -50,17 +50,8 @@ class SolveReport:
     defect_compat: float
     defect_compat_post: float
     defect_mean: float
+    method: str
     intermediate: CoupledField | None = None
-
-
-@functools.lru_cache(maxsize=32)
-def coupled_matrix(forms: BasicForms, k_like: float, alpha_like: float, gamma: float):
-    return assemble_coupled(forms, k_like, alpha_like, gamma)
-
-
-@functools.lru_cache(maxsize=32)
-def constraint_set(forms: BasicForms, k_like: float, alpha_like: float, mean_like: float):
-    return build_constraints(forms, k_like, alpha_like, mean_like)
 
 
 def _check_sources(forms, f, g, alpha_like, strict, auto_project):
@@ -84,19 +75,22 @@ def _check_sources(forms, f, g, alpha_like, strict, auto_project):
     return f, g, defect, defect
 
 
-def _solve_stage(forms, k_like, alpha_like, mean_like, gamma, f, g, tol, strict):
+def _solve_stage(forms, k_like, alpha_like, mean_like, gamma, f, g, strict):
+    a = assemble_coupled(forms, k_like, alpha_like, gamma)
+    cs = build_constraints(forms, k_like, alpha_like, mean_like)
+    return _solve_system(forms, a, cs, alpha_like, f, g, strict)
+
+
+def _solve_system(forms, a, cs, alpha_like, f, g, strict):
     f, g, defect_pre, defect_post = _check_sources(forms, f, g, alpha_like, strict,
                                                    auto_project=not strict)
-    a = coupled_matrix(forms, k_like, alpha_like, gamma)
-    cs = constraint_set(forms, k_like, alpha_like, mean_like)
     b = assemble_load(forms, f, g)
-    sol = solve_constrained(a, b, cs, tol=tol)
+    sol = solve_constrained(a, b, cs)
     defect_mean = abs(float(cs.mean_vector @ sol.x))
     return sol, defect_pre, defect_post, defect_mean
 
 
-def solve_second(mesh: Mesh, params: ProblemParams, f, g, tol=DEFAULT_TOL,
-                 strict=True) -> SolveReport:
+def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
     """Second-order solve: Robin scale K, coupling alpha, mean constraint beta.
 
     Nodal sources (f, g) must satisfy the alpha-compatibility condition; in
@@ -106,14 +100,14 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, tol=DEFAULT_TOL,
     forms = assemble_basic(mesh)
     params.check_nondegenerate(measures(mesh))
     sol, pre, post, dmean = _solve_stage(forms, params.K, params.alpha, params.beta,
-                                         params.gamma, f, g, tol, strict)
+                                         params.gamma, f, g, strict)
     return SolveReport(field=CoupledField.from_vector(mesh, sol.x),
                        iterations=sol.iterations, residual=sol.residual,
-                       defect_compat=pre, defect_compat_post=post, defect_mean=dmean)
+                       defect_compat=pre, defect_compat_post=post, defect_mean=dmean,
+                       method=sol.method)
 
 
-def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, tol=DEFAULT_TOL,
-                 strict=True) -> SolveReport:
+def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
     """Fourth-order solve as a composition of two second-order solves.
 
     Stage 1 solves with (L, beta) coupling and alpha-mean constraint; its
@@ -124,14 +118,14 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, tol=DEFAULT_TOL,
     params.check_nondegenerate(measures(mesh))
     try:
         sol1, pre, post, dmean1 = _solve_stage(forms, params.L, params.beta, params.alpha,
-                                               params.gamma, f, g, tol, strict)
+                                               params.gamma, f, g, strict)
     except Exception as exc:
         exc.args = (f"stage 1 (Robin L, coupling beta): {exc.args[0]}",) if exc.args else exc.args
         raise
     mu = CoupledField.from_vector(mesh, sol1.x)
     try:
         sol2, _, _, dmean2 = _solve_stage(forms, params.K, params.alpha, params.beta,
-                                          params.gamma, mu.u, mu.v, tol, strict=True)
+                                          params.gamma, mu.u, mu.v, strict=True)
     except Exception as exc:
         exc.args = (f"stage 2 (Robin K, coupling alpha): {exc.args[0]}",) if exc.args else exc.args
         raise
@@ -139,7 +133,8 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, tol=DEFAULT_TOL,
                        iterations=sol1.iterations + sol2.iterations,
                        residual=max(sol1.residual, sol2.residual),
                        defect_compat=pre, defect_compat_post=post,
-                       defect_mean=max(dmean1, dmean2), intermediate=mu)
+                       defect_mean=max(dmean1, dmean2), method=sol2.method,
+                       intermediate=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,7 @@ def inner_ka(forms: BasicForms, params: ProblemParams, a: CoupledField,
     """Coupled energy form with Robin scale K, coupling alpha, weight gamma."""
     a.check_mesh(forms.mesh)
     b.check_mesh(forms.mesh)
-    mat = coupled_matrix(forms, params.K, params.alpha, params.gamma)
+    mat = assemble_coupled(forms, params.K, params.alpha, params.gamma)
     return float(a.to_vector() @ mat.apply(b.to_vector()))
 
 
@@ -172,18 +167,18 @@ def norm_h0(forms: BasicForms, a: CoupledField) -> float:
     return float(np.sqrt(max(inner_h0(forms, a, a), 0.0)))
 
 
-def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2, tol=DEFAULT_TOL) -> float:
+def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     """Inner product on beta-compatible source pairs, induced by the solves
     with (L, beta) coupling and alpha-mean constraint: the energy pairing of
     the two solutions."""
     forms = assemble_basic(mesh)
     params.check_nondegenerate(measures(mesh))
+    mat = assemble_coupled(forms, params.L, params.beta, params.gamma)
+    cs = build_constraints(forms, params.L, params.beta, params.alpha)
     s = []
     for f, g in (fg1, fg2):
-        sol, _, _, _ = _solve_stage(forms, params.L, params.beta, params.alpha,
-                                    params.gamma, f, g, tol, strict=True)
+        sol, _, _, _ = _solve_system(forms, mat, cs, params.beta, f, g, strict=True)
         s.append(sol.x)
-    mat = coupled_matrix(forms, params.L, params.beta, params.gamma)
     return float(s[0] @ mat.apply(s[1]))
 
 

@@ -75,6 +75,7 @@ def test_run_solve2_and_artifacts(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["defect_compat_post"]) < abs(summary["defect_compat_pre"])
     assert summary["defect_mean"] <= 1e-10
+    assert summary["method"] == "splu"
 
 
 def test_run_solve4_reports_intermediate(tmp_path):
@@ -88,6 +89,7 @@ def test_run_solve4_reports_intermediate(tmp_path):
     assert cli.run(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "intermediate_norm_max" in summary
+    assert summary["method"] == "splu"
 
 
 def test_strict_incompatible_exits_2(tmp_path):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,16 +126,17 @@ def _graph_laplacian(n, rng):
 
 
 @pytest.mark.parametrize("n", [20, 120, 200])
-def test_cg_and_dense_paths_agree(n):
+def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
     rng = np.random.default_rng(n)
     a = _graph_laplacian(n, rng)
     c = rng.uniform(0.5, 1.5, n)
     cs = ConstraintSet(n=n, mean_vector=c, kernel=np.ones(n))
     b = rng.standard_normal(n)
     b -= np.mean(b)
-    x_cg = linalg.solve_constrained(a, b, cs, method="cg").x
-    x_lu = linalg.solve_constrained(a, b, cs, method="dense").x
-    np.testing.assert_allclose(x_cg, x_lu, atol=1e-9 * max(1.0, np.abs(x_lu).max()))
+    x_ref = dense_bordered_solve(a, b, cs)
+    for method in ("cg", "auto"):
+        x = linalg.solve_constrained(a, b, cs, method=method).x
+        np.testing.assert_allclose(x, x_ref, atol=1e-9 * max(1.0, np.abs(x_ref).max()))
 
 
 def test_elimination_map_reconstruction():
@@ -153,12 +157,14 @@ def test_elimination_overlap_rejected():
                       elim_weight=np.array([1.0]))
 
 
-def test_mean_constraint_without_kernel_uses_bordered_path():
+def test_mean_constraint_without_kernel_uses_bordered_path(dense_bordered_solve):
     # definite system + mean constraint: Lagrange-constrained solve
     a = CsrMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 1.0], symmetric=True)
     cs = ConstraintSet(n=2, mean_vector=np.array([1.0, 1.0]))
     sol = linalg.solve_constrained(a, np.array([1.0, 3.0]), cs)
-    assert sol.method == "dense-lu"
+    assert sol.method == "splu"
+    np.testing.assert_allclose(dense_bordered_solve(a, np.array([1.0, 3.0]), cs),
+                               [-1.0, 1.0], atol=1e-13)
     np.testing.assert_allclose(sol.x, [-1.0, 1.0], atol=1e-13)
     assert abs(np.sum(sol.x)) <= 1e-13
     with pytest.raises(InvalidArgumentError):
@@ -213,7 +219,7 @@ def test_eig_k_validation():
         linalg.eig_dense_generalized(np.eye(2), np.eye(2), 3)
 
 
-def test_factorized_solver_matches_single_solves():
+def test_factorized_solver_matches_single_solves(dense_bordered_solve):
     rng = np.random.default_rng(5)
     n = 30
     a = _graph_laplacian(n, rng)
@@ -226,6 +232,15 @@ def test_factorized_solver_matches_single_solves():
         b = rng.standard_normal(n)
         b -= np.mean(b)
         rhs.append(b)
-        cols.append(linalg.solve_constrained(a, b, cs, method="dense").x)
+        cols.append(dense_bordered_solve(a, b, cs))
     batch = solver.solve_many(np.column_stack(rhs))
     np.testing.assert_allclose(batch, np.column_stack(cols), atol=1e-10)
+
+
+def test_importing_bse_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg costs ~0.08 s to import; bse loads it on the first factorization
+    code = ("import sys\n"
+            "from bse import assembly, cli, eigen, expr, linalg, mesh, oracle, solver\n"
+            "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
