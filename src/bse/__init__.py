@@ -15,7 +15,7 @@ _SUBMODULES = ("mesh", "expr", "linalg", "assembly", "solver", "eigen", "oracle"
 
 
 def kernel_backend():
-    """Active hot-kernel backend: 'numba' or 'numpy' (see BSE_NUMBA)."""
+    """Hot-kernel implementation recorded in run summaries: always 'numpy'."""
     from . import _kernels
 
     return _kernels.kernel_backend()

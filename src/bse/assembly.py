@@ -10,6 +10,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidArgumentError
@@ -130,31 +131,24 @@ class BasicForms:
     @functools.cached_property
     def block_mass(self):
         """blockdiag(M_bulk, M_surf) on the coupled index space."""
-        rows, cols, vals = _csr_triplets(self.m_bulk)
-        srows, scols, svals = _csr_triplets(self.m_surf)
-        nb = self.n_bulk
-        return CsrMatrix.from_coo(
-            self.n_total,
-            np.concatenate([rows, srows + nb]),
-            np.concatenate([cols, scols + nb]),
-            np.concatenate([vals, svals]),
-            symmetric=True)
+        return _from_blocks(self.n_total, [[self.m_bulk.to_scipy(), None],
+                                           [None, self.m_surf.to_scipy()]])
 
     def load(self, f, g):
         return assemble_load(self, f, g)
 
 
-def _csr_triplets(a: CsrMatrix):
-    rows = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.indptr))
-    return rows, a.indices, a.data
+def _from_blocks(n, blocks):
+    coo = sp.bmat(blocks, format="coo")
+    return CsrMatrix.from_coo(n, coo.row, coo.col, coo.data)
 
 
 def assemble_basic(mesh: Mesh) -> BasicForms:
     """P1 stiffness and consistent mass on the bulk and the boundary polyline."""
     rows, cols, stiff, mass, _ = _kernels.tri_entries(mesh.vertices, mesh.triangles)
     nb = mesh.n_vertices
-    a_bulk = CsrMatrix.from_coo(nb, rows, cols, stiff, symmetric=True)
-    m_bulk = CsrMatrix.from_coo(nb, rows, cols, mass, symmetric=True)
+    a_bulk = CsrMatrix.from_coo(nb, rows, cols, stiff)
+    m_bulk = CsrMatrix.from_coo(nb, rows, cols, mass)
 
     ns = mesh.n_surface
     lengths = mesh.surface_lengths()
@@ -164,8 +158,8 @@ def assemble_basic(mesh: Mesh) -> BasicForms:
     scols = np.concatenate([i, j, i, j])
     stiff_s = np.concatenate([1.0 / lengths, -1.0 / lengths, -1.0 / lengths, 1.0 / lengths])
     mass_s = np.concatenate([lengths / 3.0, lengths / 6.0, lengths / 6.0, lengths / 3.0])
-    a_surf = CsrMatrix.from_coo(ns, srows, scols, stiff_s, symmetric=True)
-    m_surf = CsrMatrix.from_coo(ns, srows, scols, mass_s, symmetric=True)
+    a_surf = CsrMatrix.from_coo(ns, srows, scols, stiff_s)
+    m_surf = CsrMatrix.from_coo(ns, srows, scols, mass_s)
     return BasicForms(mesh, a_bulk, m_bulk, a_surf, m_surf)
 
 
@@ -181,29 +175,18 @@ def assemble_coupled(forms: BasicForms, k_like: float, alpha_like: float,
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
     s = sigma(k_like)
-    nb = forms.n_bulk
-    trace = forms.trace_indices
-    rows, cols, vals = [], [], []
-
-    br, bc, bv = _csr_triplets(forms.a_bulk)
-    rows.append(br)
-    cols.append(bc)
-    vals.append(bv)
-
-    sr, sc, sv = _csr_triplets(forms.a_surf)
-    rows.append(sr + nb)
-    cols.append(sc + nb)
-    vals.append(gamma * sv)
-
-    if s != 0.0:
-        mr, mc, mv = _csr_triplets(forms.m_surf)
-        rows.extend([trace[mr], trace[mr], mr + nb, mr + nb])
-        cols.extend([trace[mc], mc + nb, trace[mc], mc + nb])
-        vals.extend([s * mv, -alpha_like * s * mv, -alpha_like * s * mv,
-                     alpha_like ** 2 * s * mv])
-
-    return CsrMatrix.from_coo(forms.n_total, np.concatenate(rows),
-                              np.concatenate(cols), np.concatenate(vals), symmetric=True)
+    a_bulk = forms.a_bulk.to_scipy()
+    a_surf = gamma * forms.a_surf.to_scipy()
+    if s == 0.0:
+        return _from_blocks(forms.n_total, [[a_bulk, None], [None, a_surf]])
+    # T selects the trace of a bulk field at the surface nodes
+    ns = forms.n_surf
+    t = sp.csr_matrix((np.ones(ns), (np.arange(ns), forms.trace_indices)),
+                      shape=(ns, forms.n_bulk))
+    ms_t = forms.m_surf.to_scipy() @ t
+    return _from_blocks(forms.n_total, [
+        [a_bulk + s * (t.T @ ms_t), -alpha_like * s * ms_t.T],
+        [-alpha_like * s * ms_t, a_surf + alpha_like ** 2 * s * forms.m_surf.to_scipy()]])
 
 
 def kernel_pair(forms: BasicForms, alpha_like: float) -> np.ndarray:

@@ -96,15 +96,39 @@ def _load_config(path):
     return raw
 
 
+def _section(cfg, name):
+    """The config object ``cfg[name]`` ({} when absent)."""
+    from .errors import InvalidArgumentError
+
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise InvalidArgumentError(f"{name} must be a JSON object, got {sec!r}")
+    return sec
+
+
+def _value(sec, name, key, default, kind):
+    """``sec[key]`` converted by ``kind`` (int or float); a value of the wrong
+    type is a validation error naming ``name.key``."""
+    from .errors import InvalidArgumentError
+
+    value = sec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(
+            f"{name}.{key} must be {kind.__name__}, got {value!r}") from None
+
+
 def _build_mesh(geo):
     from . import mesh as meshmod
     from .errors import InvalidArgumentError
 
     gtype = geo.get("type", "disk")
     if gtype == "disk":
-        return meshmod.generate_disk(int(geo.get("n_boundary", 64)), int(geo.get("refine", 0)))
+        return meshmod.generate_disk(_value(geo, "geometry", "n_boundary", 64, int),
+                                     _value(geo, "geometry", "refine", 0, int))
     if gtype == "square":
-        return meshmod.generate_square(int(geo.get("n_per_side", 16)))
+        return meshmod.generate_square(_value(geo, "geometry", "n_per_side", 16, int))
     if gtype == "file":
         if "path" not in geo:
             raise InvalidArgumentError("geometry.type 'file' requires geometry.path")
@@ -115,17 +139,16 @@ def _build_mesh(geo):
 def _build_params(raw):
     from .assembly import ProblemParams
 
-    p = raw.get("params", {})
-    return ProblemParams(K=float(p.get("K", 1.0)), L=float(p.get("L", 1.0)),
-                         alpha=float(p.get("alpha", 1.0)), beta=float(p.get("beta", 1.0)),
-                         gamma=float(p.get("gamma", 1.0)))
+    p = _section(raw, "params")
+    return ProblemParams(**{key: _value(p, "params", key, 1.0, float)
+                            for key in ("K", "L", "alpha", "beta", "gamma")})
 
 
 def _nodal_sources(cfg, mesh):
     from . import expr
     from .errors import InvalidArgumentError
 
-    sources = cfg.get("sources", {})
+    sources = _section(cfg, "sources")
     if "f" not in sources or "g" not in sources:
         raise InvalidArgumentError("solve tasks need sources.f and sources.g expressions")
     f_ast = expr.parse(str(sources["f"]))
@@ -178,7 +201,7 @@ def _task_solve(cfg, msh, params, outdir, fourth):
 def _task_eig(cfg, msh, params, outdir, fourth):
     from .eigen import eig_fourth, eig_second
 
-    k = int(cfg.get("eig", {}).get("k", 8))
+    k = _value(_section(cfg, "eig"), "eig", "k", 8, int)
     t0 = time.perf_counter()
     res = eig_fourth(msh, params, k) if fourth else eig_second(msh, params, k)
     elapsed = time.perf_counter() - t0
@@ -200,9 +223,9 @@ def _task_eig(cfg, msh, params, outdir, fourth):
 def _task_oracle(cfg, params, outdir):
     from .oracle import disk_eigs_second
 
-    ocfg = cfg.get("oracle", {})
-    m_max = int(ocfg.get("m_max", 8))
-    lam_max = float(ocfg.get("lambda_max", 60.0))
+    ocfg = _section(cfg, "oracle")
+    m_max = _value(ocfg, "oracle", "m_max", 8, int)
+    lam_max = _value(ocfg, "oracle", "lambda_max", 60.0, float)
     roots = disk_eigs_second(params.K, params.alpha, params.gamma, m_max, lam_max)
     _write_csv(os.path.join(outdir, "oracle_roots.csv"), ("m", "lambda", "multiplicity"),
                ((str(r.m), _fmt(r.lam), str(r.multiplicity)) for r in roots))
@@ -219,11 +242,11 @@ def _task_convergence(cfg, params, outdir):
     from .oracle import manufactured_second
     from .solver import inner_h0, norm_ka, solve_second
 
-    geo = cfg.get("geometry", {})
+    geo = _section(cfg, "geometry")
     if geo.get("type", "disk") != "disk":
         raise InvalidArgumentError("convergence task runs on the disk geometry")
-    n_boundary = int(geo.get("n_boundary", 16))
-    max_refine = int(geo.get("refine", 3))
+    n_boundary = _value(geo, "geometry", "n_boundary", 16, int)
+    max_refine = _value(geo, "geometry", "refine", 3, int)
     manufactured = manufactured_second(params.K, params.alpha, params.beta)
     u_ast = expr.parse(manufactured.u_expr)
 
@@ -278,7 +301,7 @@ def run(config_path, outdir=None, seed=None) -> int:
     out = outdir or "bse-out"
     try:
         cfg = _load_config(config_path)
-        out = outdir or cfg.get("output", {}).get("dir", "bse-out")
+        out = outdir or _section(cfg, "output").get("dir", "bse-out")
         os.makedirs(out, exist_ok=True)
         task = cfg["task"]
         params = _build_params(cfg)
@@ -289,7 +312,7 @@ def run(config_path, outdir=None, seed=None) -> int:
             "seed": seed,
         }
         if task in ("solve2", "solve4", "eig2", "eig4", "poincare"):
-            msh = _build_mesh(cfg.get("geometry", {}))
+            msh = _build_mesh(_section(cfg, "geometry"))
             from .mesh import measures
 
             mm = measures(msh)

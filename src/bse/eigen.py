@@ -4,8 +4,8 @@ Both eigenproblems are reduced onto the constrained subspace (trace
 elimination for a Dirichlet coupling, then a Householder basis of the
 mean-constraint hyperplane) and solved densely via Cholesky reduction.
 The fourth-order problem pairs the energy matrix with the solution-operator
-mass B = M A^+ M, formed column by column through factorized constrained
-solves.
+mass B = M A^+ M, formed by one factorized constrained solve with every
+basis column as a right-hand side.
 """
 
 import logging
@@ -72,13 +72,8 @@ class _Subspace:
         mat = mat - np.outer(coef * (mat @ self.w), self.w)
         return mat
 
-    def reduce_dense(self, a_csr_or_scipy):
-        import scipy.sparse as sp
-
-        if sp.issparse(a_csr_or_scipy):
-            mat = a_csr_or_scipy
-        else:
-            mat = a_csr_or_scipy.to_scipy()
+    def reduce_dense(self, mat):
+        """Dense reduced pencil matrix of a SciPy sparse matrix."""
         if self.red.r is not None:
             mat = (self.red.r.T @ mat @ self.red.r).tocsr()
         dense = self._reflect(mat.toarray())
@@ -161,8 +156,8 @@ def eig_second(mesh: Mesh, params: ProblemParams, k: int, backend="dense") -> Ei
     sub = _Subspace(a_cpl, cs)
     if not 1 <= k <= sub.dim:
         raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
-    a_zz = sub.reduce_dense(a_cpl)
-    m_zz = sub.reduce_dense(forms.block_mass)
+    a_zz = sub.reduce_dense(a_cpl.to_scipy())
+    m_zz = sub.reduce_dense(forms.block_mass.to_scipy())
     w, y = eig_dense_generalized(a_zz, m_zz, k)
     return _finalize(mesh, w, y, a_zz, m_zz, sub)
 
@@ -182,17 +177,14 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     sub = _Subspace(a_cpl, cs)
     if not 1 <= k <= sub.dim:
         raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
-    a_zz = sub.reduce_dense(a_cpl)
+    a_zz = sub.reduce_dense(a_cpl.to_scipy())
 
     a_inner = assemble_coupled(forms, params.L, params.beta, params.gamma)
     cs_inner = build_constraints(forms, params.L, params.beta, params.alpha)
     solver = FactorizedConstrainedSolver(a_inner, cs_inner)
     z = sub.basis_full()
-    mass = forms.block_mass
-    mz = np.column_stack([mass.apply(z[:, j]) for j in range(z.shape[1])])
-    s = solver.solve_many(mz)
-    ms = np.column_stack([mass.apply(s[:, j]) for j in range(s.shape[1])])
-    b_zz = z.T @ ms
+    mass = forms.block_mass.to_scipy()
+    b_zz = z.T @ (mass @ solver.solve_many(mass @ z))
     b_zz = 0.5 * (b_zz + b_zz.T)
 
     w, y = eig_dense_generalized(a_zz, b_zz, k)
@@ -207,8 +199,8 @@ def poincare_constant(mesh: Mesh, params: ProblemParams) -> float:
     a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
     cs = build_constraints(forms, params.K, params.alpha, params.beta)
     sub = _Subspace(a_cpl, cs)
-    a_zz = sub.reduce_dense(a_cpl)
-    m_zz = sub.reduce_dense(forms.block_mass)
+    a_zz = sub.reduce_dense(a_cpl.to_scipy())
+    m_zz = sub.reduce_dense(forms.block_mass.to_scipy())
     w, _ = eig_dense_generalized(a_zz, m_zz, 1)
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(f"constrained pencil has eigenvalue {w[0]:.3e}")
@@ -230,7 +222,7 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
     cs = build_constraints(forms, params.K, params.alpha, params.beta)
     sub = _Subspace(a_cpl, cs)
-    a_zz = sub.reduce_dense(a_cpl)
+    a_zz = sub.reduce_dense(a_cpl.to_scipy())
     h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],
                   [None, forms.a_surf.to_scipy() + forms.m_surf.to_scipy()]]).tocsr()
     h1_zz = sub.reduce_dense(h1)

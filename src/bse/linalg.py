@@ -29,97 +29,86 @@ DEFAULT_TOL = 1e-12
 KERNEL_RHS_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """Square CSR matrix with int64 indexing.
+    """Square sparse matrix: a read-only view of one canonical SciPy CSR matrix.
 
-    Attributes: dimension ``n``, row offsets ``indptr`` (n+1), sorted column
-    indices per row, and float64 ``data``.  ``symmetric`` records intent and
-    is checked by :meth:`symmetry_defect` in tests.
+    ``n``, the row offsets ``indptr``, the per-row strictly increasing column
+    ``indices`` and the float64 ``data`` are the stored matrix's arrays.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    symmetric: bool = False
+    __slots__ = ("_mat",)
 
-    def __post_init__(self):
-        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if indptr.shape != (self.n + 1,):
-            raise InvalidArgumentError("indptr must have length n+1")
-        if np.any(np.diff(indptr) < 0):
-            raise InvalidArgumentError("indptr must be nondecreasing")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.n):
-            raise InvalidArgumentError("column index out of range")
-        # strictly increasing columns within each row
-        if indices.size > 1:
-            not_row_start = np.ones(indices.size, dtype=bool)
-            starts = indptr[1:-1]
-            not_row_start[starts[starts < indices.size]] = False
-            if np.any(np.diff(indices)[not_row_start[1:]] <= 0):
-                raise InvalidArgumentError("columns must be strictly increasing per row")
-        for arr, name in ((indptr, "indptr"), (indices, "indices"), (data, "data")):
+    def __init__(self, n, indptr, indices, data):
+        try:
+            mat = sp.csr_matrix((np.asarray(data, dtype=np.float64), indices, indptr),
+                                shape=(n, n))
+            mat.check_format(full_check=True)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"invalid CSR structure: {exc}") from None
+        if not mat.has_canonical_format:
+            raise InvalidArgumentError("columns must be strictly increasing per row")
+        self._freeze(mat)
+
+    def _freeze(self, mat):
+        for arr in (mat.indptr, mat.indices, mat.data):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_mat", mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CsrMatrix is read-only")
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals, symmetric=False):
+    def from_coo(cls, n, rows, cols, vals):
         """Build from COO triplets, summing duplicates; deterministic order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        keys = rows * n + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(len(uniq))
-        np.add.at(summed, inverse, vals)
-        urows = uniq // n
-        ucols = uniq % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, urows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(n, indptr, ucols, summed, symmetric=symmetric)
-
-    @classmethod
-    def from_scipy(cls, mat, symmetric=False):
-        mat = sp.csr_matrix(mat)
-        mat.sort_indices()
-        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data, symmetric=symmetric)
+        try:
+            mat = sp.coo_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)),
+                                shape=(n, n)).tocsr()
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"invalid COO triplets: {exc}") from None
+        mat.sum_duplicates()
+        out = cls.__new__(cls)
+        out._freeze(mat)
+        return out
 
     @classmethod
     def identity(cls, n):
-        return cls(n, np.arange(n + 1, dtype=np.int64), np.arange(n, dtype=np.int64),
-                   np.ones(n), symmetric=True)
+        return cls.from_coo(n, np.arange(n), np.arange(n), np.ones(n))
+
+    @property
+    def n(self):
+        return self._mat.shape[0]
+
+    @property
+    def indptr(self):
+        return self._mat.indptr
+
+    @property
+    def indices(self):
+        return self._mat.indices
+
+    @property
+    def data(self):
+        return self._mat.data
 
     def to_scipy(self):
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self._mat
 
     def to_dense(self):
-        return self.to_scipy().toarray()
+        return self._mat.toarray()
 
     def diagonal(self):
-        return self.to_scipy().diagonal()
+        return self._mat.diagonal()
 
     def apply(self, x):
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise DimensionMismatchError(f"vector of length {x.shape} against matrix of dimension {self.n}")
-        return _kernels.csr_matvec(self.indptr, self.indices, self.data, x)
+        return self._mat @ x
 
     def symmetry_defect(self):
-        a = self.to_scipy()
-        d = a - a.T
+        d = self._mat - self._mat.T
         scale = np.max(np.abs(self.data)) if self.data.size else 0.0
         return float(np.max(np.abs(d.data)) if d.nnz else 0.0), scale
-
-
-def apply(a: CsrMatrix, x):
-    """Sparse matrix-vector product."""
-    return a.apply(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,9 +266,7 @@ def _solve_cg(red, b_red, tol, maxiter):
     cvec = red.c_red if red.c_red is not None else np.empty(0)
     kdir = red.k_red if red.k_red is not None else np.empty(0)
     x_red, iters, relres = _kernels.pcg(
-        red.a_red.indptr.astype(np.int64), red.a_red.indices.astype(np.int64),
-        np.ascontiguousarray(red.a_red.data, dtype=np.float64),
-        1.0 / diag, b_red,
+        red.a_red, 1.0 / diag, b_red,
         np.ascontiguousarray(cvec, dtype=np.float64),
         np.ascontiguousarray(kdir, dtype=np.float64),
         float(tol), int(maxiter))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,15 @@ def test_coupled_field_validation(disk8):
     f.check_mesh(disk8)
     with pytest.raises(DimensionMismatchError):
         CoupledField(np.zeros(3), np.zeros(2)).check_mesh(disk8)
+
+
+def test_lumped_weights_match_exact_row_sums():
+    # the lumped weights are the mean-constraint vector; each must be its
+    # mass row's sum to within roundoff of that row, at any matrix size
+    forms = assembly.assemble_basic(mesh.generate_disk(64, 3))
+    for mat, lumped in ((forms.m_bulk, forms.lumped_bulk), (forms.m_surf, forms.lumped_surf)):
+        ptr, data = mat.indptr, mat.data
+        rows = [data[ptr[i]:ptr[i + 1]] for i in range(mat.n)]
+        exact = np.array([math.fsum(r) for r in rows])
+        scale = np.array([math.fsum(np.abs(r)) for r in rows])
+        assert np.max(np.abs(lumped - exact) / scale) <= 1e-14

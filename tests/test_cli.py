@@ -218,3 +218,19 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "eigenvalues.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad", [
+    {"geometry": {"type": "disk", "n_boundary": "abc"}},
+    {"params": [1, 2]},
+], ids=["geometry-string", "params-list"])
+def test_malformed_config_writes_error_json(tmp_path, bad):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "bad.json", {
+        "task": "eig2", "eig": {"k": 2}, "output": {"dir": str(out)}, **bad})
+    assert cli.run(cfg) == 2
+    lines = (out / "error.json").read_text().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == "invalid-argument"
+    assert ("n_boundary" if "geometry" in bad else "params") in err["message"]

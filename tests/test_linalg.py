@@ -18,7 +18,7 @@ from bse.linalg import ConstraintSet, CsrMatrix
 def path_laplacian():
     return CsrMatrix.from_coo(
         3, [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2],
-        [1.0, -1.0, -1.0, 2.0, -1.0, -1.0, 1.0], symmetric=True)
+        [1.0, -1.0, -1.0, 2.0, -1.0, -1.0, 1.0])
 
 
 def test_apply_identity_and_diag():
@@ -39,6 +39,13 @@ def test_from_coo_sums_duplicates():
     a = CsrMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     dense = a.to_dense()
     np.testing.assert_array_equal(dense, [[0.0, 5.0], [1.0, 0.0]])
+
+
+def test_from_coo_rejects_bad_triplets():
+    with pytest.raises(InvalidArgumentError):
+        CsrMatrix.from_coo(2, [0, 2], [0, 0], [1.0, 1.0])
+    with pytest.raises(InvalidArgumentError):
+        CsrMatrix.from_coo(2, [0], [0, 0], [1.0, 1.0])
 
 
 def test_symmetry_defect():
@@ -122,7 +129,7 @@ def _graph_laplacian(n, rng):
         rows += [i, i, j, j]
         cols += [i, j, i, j]
         vals += [w, -w, -w, w]
-    return CsrMatrix.from_coo(n, rows, cols, vals, symmetric=True)
+    return CsrMatrix.from_coo(n, rows, cols, vals)
 
 
 @pytest.mark.parametrize("n", [20, 120, 200])
@@ -141,7 +148,7 @@ def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
 
 def test_elimination_map_reconstruction():
     # eliminate x2 = 0.5 * x0 on a 3x3 SPD system
-    a = CsrMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0], symmetric=True)
+    a = CsrMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0])
     cs = ConstraintSet(n=3, elim_index=np.array([2]), elim_target=np.array([0]),
                        elim_weight=np.array([0.5]))
     b = np.array([1.0, 1.0, 1.0])
@@ -159,7 +166,7 @@ def test_elimination_overlap_rejected():
 
 def test_mean_constraint_without_kernel_uses_bordered_path(dense_bordered_solve):
     # definite system + mean constraint: Lagrange-constrained solve
-    a = CsrMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 1.0], symmetric=True)
+    a = CsrMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
     cs = ConstraintSet(n=2, mean_vector=np.array([1.0, 1.0]))
     sol = linalg.solve_constrained(a, np.array([1.0, 3.0]), cs)
     assert sol.method == "splu"
