@@ -216,6 +216,8 @@ def _task_eig(cfg, msh, params, outdir, fourth):
         "lambda_max": float(res.eigenvalues[-1]),
         "max_residual": float(res.residuals.max()),
         "gram_defect": res.gram_defect,
+        "method": res.method,
+        "op_applications": res.op_applications,
         "seconds": elapsed,
     }
 
@@ -290,8 +292,9 @@ def _task_poincare(msh, params):
     from .eigen import poincare_constant
 
     t0 = time.perf_counter()
-    c = poincare_constant(msh, params)
-    return {"poincare_constant": c, "seconds": time.perf_counter() - t0}
+    c, res = poincare_constant(msh, params, return_result=True)
+    return {"poincare_constant": c, "method": res.method,
+            "op_applications": res.op_applications, "seconds": time.perf_counter() - t0}
 
 
 def run(config_path, outdir=None, seed=None) -> int:

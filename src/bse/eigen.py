@@ -1,14 +1,14 @@
 """Constrained generalized eigenproblems for the coupled system.
 
-Both eigenproblems are reduced onto the constrained subspace (trace
-elimination for a Dirichlet coupling, then a Householder basis of the
-mean-constraint hyperplane) and solved densely via Cholesky reduction.
-The fourth-order problem pairs the energy matrix with the solution-operator
-mass B = M A^+ M, formed by one factorized constrained solve with every
-basis column as a right-hand side.
+Both pencils act on the constrained subspace (trace elimination for a
+Dirichlet coupling, then Householder coordinates of the mean-constraint
+hyperplane, applied in O(n)).  Shift-invert Lanczos (ARPACK, shift 0) finds
+the smallest eigenpairs, inverting with the bordered sparse LU of the
+constrained solves; the fourth-order mass B = M A^+ M is applied through one
+factorized solve and never formed.  Requests for (nearly) the whole spectrum
+are solved densely on the same operators.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +20,9 @@ from .assembly import (
     assemble_coupled,
     build_constraints,
 )
-from .errors import InvalidArgumentError, SingularSystemError
-from .linalg import FactorizedConstrainedSolver, eig_dense_generalized
+from .errors import InvalidArgumentError, NoConvergenceError, SingularSystemError
+from .linalg import FactorizedConstrainedSolver, _Reduced, eig_dense_generalized
 from .mesh import Mesh, measures
-
-log = logging.getLogger(__name__)
 
 MULTIPLET_REL_TOL = 1e-8
 MIN_EIGENVALUE = 1e-12
@@ -37,7 +35,8 @@ class EigenResult:
     ``residuals`` holds the per-pair relative pencil residual, ``gram_defect``
     the largest deviation of the B-Gram matrix from identity, and
     ``multiplicities`` the size of the numerical multiplet each eigenvalue
-    belongs to.
+    belongs to.  ``method`` is ``"arpack"`` or ``"dense"`` and
+    ``op_applications`` counts the shift-invert solves.
     """
 
     eigenvalues: np.ndarray
@@ -45,57 +44,46 @@ class EigenResult:
     residuals: np.ndarray
     gram_defect: float
     multiplicities: np.ndarray
+    method: str = "arpack"
+    op_applications: int = 0
     _pencil: tuple = field(repr=False, default=None)
 
 
+def _dense(op):
+    d = op @ np.eye(op.shape[0])
+    return 0.5 * (d + d.T)
+
+
 class _Subspace:
-    """Dense pencil reduction onto {x = R y : c.x = 0}."""
+    """Coordinates y of the constrained space {x = R Z y : c.x = 0}; Z is the
+    Householder reflection I - 2ww^T/w^Tw sending c to a multiple of e_0,
+    without its first column.  Vectors or blocks of columns throughout."""
 
-    def __init__(self, a_cpl, cs):
-        from .linalg import _Reduced
-
-        red = _Reduced(a_cpl, cs)
-        red.check_kernel()
-        self.red = red
+    def __init__(self, red):
         c = red.c_red
-        # Householder vector sending c to a multiple of e_0
-        w = c.astype(np.float64).copy()
-        w[0] += np.sign(c[0] if c[0] != 0 else 1.0) * np.linalg.norm(c)
-        self.w = w
-        self.wtw = float(w @ w)
-        self.dim = red.n_red - 1
+        self.w = c.astype(np.float64).copy()
+        self.w[0] += np.sign(c[0] if c[0] != 0 else 1.0) * np.linalg.norm(c)
+        self.coef = 2.0 / float(self.w @ self.w)
+        self.red, self.dim = red, red.n_red - 1
 
-    def _reflect(self, mat):
-        # H mat H with H = I - 2 w w^T / (w^T w)
-        coef = 2.0 / self.wtw
-        mat = mat - np.outer(self.w, coef * (self.w @ mat))
-        mat = mat - np.outer(coef * (mat @ self.w), self.w)
-        return mat
+    def _reflect(self, v):
+        return v - np.multiply.outer(self.w, self.coef * (self.w @ v))
 
-    def reduce_dense(self, mat):
-        """Dense reduced pencil matrix of a SciPy sparse matrix."""
-        if self.red.r is not None:
-            mat = (self.red.r.T @ mat @ self.red.r).tocsr()
-        dense = self._reflect(mat.toarray())
-        return 0.5 * (dense[1:, 1:] + dense[1:, 1:].T)
+    def lift(self, y):
+        """Z y, in reduced coordinates."""
+        return self._reflect(np.concatenate([np.zeros((1,) + y.shape[1:]), y]))
 
-    def basis_full(self):
-        """Columns span the constrained subspace in full coordinates."""
-        n = self.red.n_red
-        z = np.eye(n)[:, 1:] - np.outer(self.w, (2.0 / self.wtw) * self.w[1:])
-        if self.red.r is not None:
-            z = self.red.r @ z
-        return z
+    def expand(self, y):
+        return self.red.expand(self.lift(y))
 
-    def expand(self, y_cols):
-        """Reduced eigenvector columns -> full coordinate columns."""
-        n = self.red.n_red
-        v = np.zeros((n, y_cols.shape[1]))
-        v[1:, :] = y_cols
-        v -= np.outer(self.w, (2.0 / self.wtw) * (self.w @ v))
-        if self.red.r is not None:
-            v = self.red.r @ v
-        return v
+    def operator(self, apply):
+        """LinearOperator y -> Z^T apply(Z y) of a map on reduced coordinates."""
+        import scipy.sparse.linalg as spla
+
+        def matvec(y):
+            return self._reflect(apply(self.lift(y)))[1:]
+
+        return spla.LinearOperator((self.dim,) * 2, matvec=matvec, matmat=matvec, dtype=float)
 
 
 def _group_multiplets(w):
@@ -120,7 +108,7 @@ def _orthonormalize_multiplets(w, y, b_zz):
     return y
 
 
-def _finalize(mesh, w, y, a_zz, b_zz, sub):
+def _finalize(mesh, w, y, a_zz, b_zz, sub, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
@@ -137,29 +125,65 @@ def _finalize(mesh, w, y, a_zz, b_zz, sub):
     full = sub.expand(y)
     fields = [CoupledField.from_vector(mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
-                       gram_defect=gram_defect, multiplicities=mult,
-                       _pencil=(a_zz, b_zz, y, sub))
+                       gram_defect=gram_defect, multiplicities=mult, method=method,
+                       op_applications=op_applications, _pencil=(a_zz, b_zz, y, sub))
 
 
-def eig_second(mesh: Mesh, params: ProblemParams, k: int, backend="dense") -> EigenResult:
+def _smallest(mesh, solver, b_apply, k):
+    """Smallest k eigenpairs of the energy matrix of ``solver`` against the
+    full-space map ``b_apply`` on its constrained space, by shift-invert
+    Lanczos with ``solver``'s factorization as the inverse."""
+    import scipy.sparse.linalg as spla
+
+    red = solver.red
+    sub = _Subspace(red)
+    if not 1 <= k <= sub.dim:
+        raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
+    a_zz = sub.operator(lambda x: red.a_red @ x)
+    b_zz = sub.operator(lambda x: red.reduce_rhs(b_apply(red.expand(x))))
+    if k >= sub.dim - 1:
+        # beyond ARPACK (k < dim - 1): the same operators, solved densely
+        w, y = eig_dense_generalized(_dense(a_zz), _dense(b_zz), k)
+        return _finalize(mesh, w, y, a_zz, b_zz, sub, "dense", 0)
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return solver.solve_reduced(x)
+
+    # a fixed start vector: ARPACK's own random start changes between calls
+    v0 = np.random.default_rng(0).standard_normal(sub.dim)
+    try:
+        w, y = spla.eigsh(a_zz, k=k, M=b_zz, sigma=0.0, which="LM",
+                          OPinv=sub.operator(solve), v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
+    order = np.argsort(w)
+    return _finalize(mesh, w[order], y[:, order], a_zz, b_zz, sub, "arpack", solves)
+
+
+def _factored(forms, k_like, alpha_like, mean_like, gamma):
+    return FactorizedConstrainedSolver(assemble_coupled(forms, k_like, alpha_like, gamma),
+                                       build_constraints(forms, k_like, alpha_like, mean_like))
+
+
+def _energy_mass(mesh, params, mean_like, k):
+    """Energy (K, alpha, gamma) against block mass, mean_like-mean constrained."""
+    forms = assemble_basic(mesh)
+    mass = forms.block_mass.to_scipy()
+    solver = _factored(forms, params.K, params.alpha, mean_like, params.gamma)
+    return _smallest(mesh, solver, lambda x: mass @ x, k)
+
+
+def eig_second(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     """Smallest k eigenpairs of the second-order problem.
 
     Generalized pencil: coupled energy matrix (K, alpha, gamma) against the
     block mass, restricted to the alpha-mean-constrained subspace (with
     trace elimination when K = 0).  Eigenfields are mass-orthonormal.
     """
-    if backend != "dense":
-        raise InvalidArgumentError(f"unknown eigen backend {backend!r}")
-    forms = assemble_basic(mesh)
-    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    cs = build_constraints(forms, params.K, params.alpha, params.alpha)
-    sub = _Subspace(a_cpl, cs)
-    if not 1 <= k <= sub.dim:
-        raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
-    a_zz = sub.reduce_dense(a_cpl.to_scipy())
-    m_zz = sub.reduce_dense(forms.block_mass.to_scipy())
-    w, y = eig_dense_generalized(a_zz, m_zz, k)
-    return _finalize(mesh, w, y, a_zz, m_zz, sub)
+    return _energy_mass(mesh, params, params.alpha, k)
 
 
 def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
@@ -172,39 +196,27 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     """
     forms = assemble_basic(mesh)
     params.check_nondegenerate(measures(mesh))
-    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    cs = build_constraints(forms, params.K, params.alpha, params.beta)
-    sub = _Subspace(a_cpl, cs)
-    if not 1 <= k <= sub.dim:
-        raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
-    a_zz = sub.reduce_dense(a_cpl.to_scipy())
-
-    a_inner = assemble_coupled(forms, params.L, params.beta, params.gamma)
-    cs_inner = build_constraints(forms, params.L, params.beta, params.alpha)
-    solver = FactorizedConstrainedSolver(a_inner, cs_inner)
-    z = sub.basis_full()
     mass = forms.block_mass.to_scipy()
-    b_zz = z.T @ (mass @ solver.solve_many(mass @ z))
-    b_zz = 0.5 * (b_zz + b_zz.T)
+    outer = _factored(forms, params.K, params.alpha, params.beta, params.gamma)
+    # with L = K and beta = alpha the (L, beta) system with alpha-mean
+    # constraint is the outer system itself: one factorization serves both
+    inner = outer
+    if (params.L, params.beta) != (params.K, params.alpha):
+        inner = _factored(forms, params.L, params.beta, params.alpha, params.gamma)
+    return _smallest(mesh, outer, lambda x: mass @ inner.solve(mass @ x), k)
 
-    w, y = eig_dense_generalized(a_zz, b_zz, k)
-    return _finalize(mesh, w, y, a_zz, b_zz, sub)
 
-
-def poincare_constant(mesh: Mesh, params: ProblemParams) -> float:
+def poincare_constant(mesh: Mesh, params: ProblemParams, return_result=False):
     """Discrete constant c_P with ||x||_H0 <= c_P ||x||_(K,alpha) on the
     beta-mean-constrained subspace: inverse square root of the smallest
-    constrained eigenvalue of the energy/mass pencil."""
-    forms = assemble_basic(mesh)
-    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    cs = build_constraints(forms, params.K, params.alpha, params.beta)
-    sub = _Subspace(a_cpl, cs)
-    a_zz = sub.reduce_dense(a_cpl.to_scipy())
-    m_zz = sub.reduce_dense(forms.block_mass.to_scipy())
-    w, _ = eig_dense_generalized(a_zz, m_zz, 1)
-    if w[0] <= MIN_EIGENVALUE:
-        raise SingularSystemError(f"constrained pencil has eigenvalue {w[0]:.3e}")
-    return float(1.0 / np.sqrt(w[0]))
+    constrained eigenvalue of the energy/mass pencil.
+
+    With ``return_result`` the EigenResult of that eigenvalue is returned
+    as well.
+    """
+    res = _energy_mass(mesh, params, params.beta, 1)
+    c = float(1.0 / np.sqrt(res.eigenvalues[0]))
+    return (c, res) if return_result else c
 
 
 def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=False):
@@ -220,12 +232,13 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
 
     forms = assemble_basic(mesh)
     a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    cs = build_constraints(forms, params.K, params.alpha, params.beta)
-    sub = _Subspace(a_cpl, cs)
-    a_zz = sub.reduce_dense(a_cpl.to_scipy())
+    red = _Reduced(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
+    red.check_kernel()
+    sub = _Subspace(red)
+    a_zz = _dense(sub.operator(lambda x: red.a_red @ x))
     h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],
                   [None, forms.a_surf.to_scipy() + forms.m_surf.to_scipy()]]).tocsr()
-    h1_zz = sub.reduce_dense(h1)
+    h1_zz = _dense(sub.operator(lambda x: red.reduce_rhs(h1 @ red.expand(x))))
     try:
         ell = np.linalg.cholesky(a_zz)
     except np.linalg.LinAlgError:
@@ -243,11 +256,8 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     a_h, b_h = float(np.sqrt(hi)), float(np.sqrt(1.0 / lo))
     if not return_fields:
         return a_h, b_h
-    fields = []
-    for vec in (vhi, vlo):
-        y = sla.solve_triangular(ell.T, vec, lower=False)
-        full = sub.expand(y)
-        fields.append(CoupledField.from_vector(mesh, full[:, 0]))
+    fields = [CoupledField.from_vector(mesh, sub.expand(sla.solve_triangular(ell.T, v))[:, 0])
+              for v in (vhi, vlo)]
     return a_h, b_h, fields[0], fields[1]
 
 

@@ -96,9 +96,6 @@ class CsrMatrix:
     def to_dense(self):
         return self._mat.toarray()
 
-    def diagonal(self):
-        return self._mat.diagonal()
-
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
@@ -152,13 +149,9 @@ class ConstraintSet:
         n_red = retained.size
         red_of_full = np.full(self.n, -1, dtype=np.int64)
         red_of_full[retained] = np.arange(n_red)
-        rows = list(retained)
-        cols = list(range(n_red))
-        vals = [1.0] * n_red
-        for e, t, w in zip(self.elim_index, self.elim_target, self.elim_weight):
-            rows.append(int(e))
-            cols.append(int(red_of_full[t]))
-            vals.append(float(w))
+        rows = np.concatenate([retained, self.elim_index])
+        cols = np.concatenate([np.arange(n_red), red_of_full[self.elim_target]])
+        vals = np.concatenate([np.ones(n_red), self.elim_weight])
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, n_red))
 
 
@@ -188,18 +181,13 @@ class _Reduced:
             a_red = a.to_scipy()
         self.a_red = a_red
         self.n_red = a_red.shape[0]
-        self.c_red = None if cs.mean_vector is None else self._pullback(cs.mean_vector)
-        self.k_red = None if cs.kernel is None else self._restrict(cs.kernel)
-
-    def _pullback(self, vec):
-        # functionals transform by R^T
-        return vec.copy() if self.r is None else self.r.T @ vec
-
-    def _restrict(self, vec):
+        self.c_red = None if cs.mean_vector is None else self.reduce_rhs(cs.mean_vector)
         # the kernel direction restricts to retained entries (R k_red = k)
-        return vec.copy() if self.r is None else vec[self.cs.retained()]
+        self.k_red = (None if cs.kernel is None else cs.kernel.copy() if self.r is None
+                      else cs.kernel[cs.retained()])
 
     def reduce_rhs(self, b):
+        # right-hand sides and functionals transform by R^T
         return b.copy() if self.r is None else self.r.T @ b
 
     def expand(self, x_red):
@@ -313,20 +301,19 @@ def _factorize(red):
 
 
 class FactorizedConstrainedSolver:
-    """Bordered sparse-LU factorization reused across many right-hand sides."""
+    """Bordered sparse-LU factorization reused across many right-hand sides;
+    ``solve_reduced`` takes them in the reduced coordinates of ``red``."""
 
     def __init__(self, a: CsrMatrix, cs: ConstraintSet | None):
         self.red = _Reduced(a, cs)
         self.red.check_kernel()
-        self._solve = _factorize(self.red)
+        self.solve_reduced = _factorize(self.red)
 
     def solve(self, b_full):
         """Solve for a full-space right-hand side, a vector or a matrix whose
         columns are right-hand sides."""
         b_red = self.red.reduce_rhs(np.asarray(b_full, dtype=np.float64))
-        return self.red.expand(self._solve(b_red))
-
-    solve_many = solve
+        return self.red.expand(self.solve_reduced(b_red))
 
 
 def eig_dense_generalized(a, m, k):

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import subprocess
 import sys
 
@@ -54,6 +55,8 @@ def test_run_eig2(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["task"] == "eig2"
     assert summary["gram_defect"] <= 1e-8
+    assert summary["method"] == "arpack"
+    assert summary["op_applications"] > 0
 
 
 def test_run_solve2_and_artifacts(tmp_path):
@@ -107,11 +110,15 @@ def test_strict_incompatible_exits_2(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path):
+    # an explicit output directory: the default one is bse-out in the cwd
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
-    assert cli.run(str(path)) == 2
+    assert cli.run(str(path), outdir=tmp_path / "parse") == 2
+    assert json.loads((tmp_path / "parse" / "error.json").read_text())["kind"] == "parse-error"
     cfg = write_config(tmp_path, "task.json", {"task": "fly"})
-    assert cli.run(cfg) == 2
+    assert cli.run(cfg, outdir=tmp_path / "out") == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
 
 
 def test_degenerate_params_exit_2(tmp_path):
@@ -157,6 +164,8 @@ def test_poincare_task(tmp_path):
     assert cli.run(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["poincare_constant"] > 0
+    assert summary["method"] == "arpack"
+    assert summary["op_applications"] > 0
 
 
 def test_oracle_task_and_geometry_file(tmp_path):
@@ -218,6 +227,34 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "eigenvalues.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_refine4_eig2_terminates_and_repeats(tmp_path):
+    # 42.5k unknowns, beyond the reach of a dense pencil; two runs in one
+    # process must agree bit for bit
+    def _over_budget(signum, frame):
+        raise TimeoutError("refine-4 eig2 still running after 120 s")
+
+    outputs = []
+    old = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 120.0)
+    try:
+        for tag in ("a", "b"):
+            cfg = write_config(tmp_path, f"{tag}.json", {
+                "geometry": {"type": "disk", "n_boundary": 64, "refine": 4},
+                "params": {"K": 1.0, "alpha": 1.0, "gamma": 1.0},
+                "task": "eig2",
+                "eig": {"k": 6},
+            })
+            assert cli.run(cfg, outdir=tmp_path / tag) == 0
+            outputs.append((tmp_path / tag / "eigenvalues.csv").read_bytes())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert outputs[0] == outputs[1]
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["method"] == "arpack"
+    assert summary["max_residual"] <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [

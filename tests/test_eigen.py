@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bse import assembly, eigen, mesh, solver
+from bse import assembly, eigen, linalg, mesh, solver
 from bse.assembly import CoupledField, ProblemParams
 from bse.errors import InvalidArgumentError
 
@@ -122,6 +122,7 @@ def test_expansion_reconstructs_constrained_fields():
     forms = assembly.assemble_basic(msh)
     dim = msh.n_vertices + msh.n_surface - 1
     res = eigen.eig_second(msh, p, k=dim)
+    assert res.method == "dense"  # the whole spectrum is beyond ARPACK
     rng = np.random.default_rng(0)
     y = random_constrained(msh, p, p.alpha, rng)
     mass = forms.block_mass
@@ -214,7 +215,7 @@ def test_eig_argument_validation(small_disk):
         eigen.eig_second(small_disk, p, k=0)
     with pytest.raises(InvalidArgumentError):
         eigen.eig_second(small_disk, p, k=10 ** 6)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(TypeError):
         eigen.eig_second(small_disk, p, k=2, backend="lanczos")
 
 
@@ -224,3 +225,47 @@ def test_multiplicity_reporting(disk):
     # the circle surface modes come in exact discrete pairs on the regular polygon
     pairs = [i for i, m in enumerate(res.multiplicities) if m == 2]
     assert pairs, "expected at least one exact multiplet"
+
+
+@pytest.mark.parametrize("k_like", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [1.0, 0.5], ids=["beta=alpha", "beta!=alpha"])
+def test_sparse_eigs_match_dense_oracle(disk, k_like, beta, dense_bordered_solve,
+                                        dense_constrained_eigs):
+    # beta = alpha with L = K: eig_fourth's two systems coincide
+    p = ProblemParams(K=k_like, L=k_like if beta == 1.0 else 2.0, alpha=1.0, beta=beta)
+    forms = assembly.assemble_basic(disk)
+    mass = forms.block_mass.to_dense()
+    a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
+    cs = assembly.build_constraints(forms, p.K, p.alpha, p.beta)
+    # B = M A_L^+ M from dense constrained solves of the (L, beta) system
+    a_inv_m = dense_bordered_solve(assembly.assemble_coupled(forms, p.L, p.beta, p.gamma), mass,
+                                   assembly.build_constraints(forms, p.L, p.beta, p.alpha))
+    k = 8
+    ref2 = dense_constrained_eigs(a, mass, assembly.build_constraints(forms, p.K, p.alpha, p.alpha), k)
+    ref4 = dense_constrained_eigs(a, mass @ a_inv_m, cs, k)
+    ref_poincare = dense_constrained_eigs(a, mass, cs, 1)[0] ** -0.5
+
+    r2 = eigen.eig_second(disk, p, k)
+    r4 = eigen.eig_fourth(disk, p, k)
+    for res in (r2, r4):
+        assert res.method == "arpack" and res.op_applications > 0
+    np.testing.assert_allclose(r2.eigenvalues, ref2, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(r4.eigenvalues, ref4, rtol=1e-9, atol=0)
+    assert eigen.poincare_constant(disk, p) == pytest.approx(ref_poincare, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("params, factorizations", [
+    (ProblemParams(K=1.0, L=1.0, alpha=1.5, beta=1.5), 1),
+    (ProblemParams(K=1.0, L=2.0, alpha=1.5, beta=0.5), 2),
+], ids=["coinciding", "distinct"])
+def test_eig4_factors_coinciding_systems_once(small_disk, monkeypatch, params, factorizations):
+    calls = []
+    real = linalg._factorize
+
+    def counting(red):
+        calls.append(red)
+        return real(red)
+
+    monkeypatch.setattr(linalg, "_factorize", counting)
+    eigen.eig_fourth(small_disk, params, k=3)
+    assert len(calls) == factorizations

@@ -240,7 +240,7 @@ def test_factorized_solver_matches_single_solves(dense_bordered_solve):
         b -= np.mean(b)
         rhs.append(b)
         cols.append(dense_bordered_solve(a, b, cs))
-    batch = solver.solve_many(np.column_stack(rhs))
+    batch = solver.solve(np.column_stack(rhs))
     np.testing.assert_allclose(batch, np.column_stack(cols), atol=1e-10)
 
 
