@@ -45,15 +45,18 @@ def _write_csv(path, header, rows):
 
 
 def _write_error(outdir, exc):
-    kind = getattr(exc, "kind", "internal-error")
-    payload = {"kind": kind, "message": str(exc)}
+    kind = getattr(exc, "kind", None)
+    message = str(exc)
+    if kind is None:  # not a BseError
+        kind, message = "internal-error", f"{type(exc).__name__}: {exc}"
+    payload = {"kind": kind, "message": message}
     try:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "error.json"), "w", encoding="ascii") as fh:
             fh.write(json.dumps(payload) + "\n")
     except OSError:
         pass
-    log.error("%s: %s", kind, exc)
+    log.error("%s: %s", kind, message)
 
 
 def eoc(errors, hs):
@@ -76,6 +79,15 @@ def eoc(errors, hs):
 # ---------------------------------------------------------------------------
 
 TASKS = ("solve2", "solve4", "eig2", "eig4", "oracle", "convergence", "poincare")
+
+# A fault of the run itself raises one of the built-in exception families
+# (numpy's LinAlgError and SciPy's ArpackError among them) and becomes an
+# internal-error.  An exception class of the calling program's own, such as
+# a time budget raised from a signal handler, is not a fault of the run and
+# propagates.
+_INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, ImportError,
+                    LookupError, MemoryError, NameError, OSError, RuntimeError,
+                    TypeError, ValueError, Warning)
 
 
 def _load_config(path):
@@ -238,7 +250,7 @@ def _task_convergence(cfg, params, outdir):
     import numpy as np
 
     from . import expr
-    from .assembly import CoupledField, assemble_basic
+    from .assembly import CoupledField
     from .errors import InvalidArgumentError
     from .mesh import generate_disk, max_edge_length
     from .oracle import manufactured_second
@@ -257,7 +269,6 @@ def _task_convergence(cfg, params, outdir):
     for level in range(max_refine + 1):
         t0 = time.perf_counter()
         msh = generate_disk(n_boundary, level)
-        forms = assemble_basic(msh)
         f = np.full(msh.n_vertices, manufactured.f_value())
         g = np.full(msh.n_surface, manufactured.g_value())
         report = solve_second(msh, params, f, g, strict=False)
@@ -265,8 +276,8 @@ def _task_convergence(cfg, params, outdir):
         v_exact = np.full(msh.n_surface, manufactured.v_value)
         diff = CoupledField(report.field.u - u_exact, report.field.v - v_exact)
         hs.append(max_edge_length(msh))
-        e_l2.append(np.sqrt(max(inner_h0(forms, diff, diff), 0.0)))
-        e_en.append(norm_ka(forms, params, diff))
+        e_l2.append(np.sqrt(max(inner_h0(report.forms, diff, diff), 0.0)))
+        e_en.append(norm_ka(report.forms, params, diff))
         timings.append(time.perf_counter() - t0)
 
     eoc_l2 = eoc(e_l2, hs)
@@ -297,14 +308,22 @@ def _task_poincare(msh, params):
             "op_applications": res.op_applications, "seconds": time.perf_counter() - t0}
 
 
-def run(config_path, outdir=None, seed=None) -> int:
-    """Execute one config; returns the process exit code."""
-    from .errors import BseError
+def run(config_path, outdir=None) -> int:
+    """Execute one config; returns the process exit code.
+
+    A ``BseError`` exits with its own code; any other fault of the run
+    (``_INTERNAL_ERRORS``) is an ``internal-error`` (exit 3), its traceback
+    logged at debug level.
+    """
+    from .errors import BseError, InvalidArgumentError
 
     out = outdir or "bse-out"
     try:
         cfg = _load_config(config_path)
-        out = outdir or _section(cfg, "output").get("dir", "bse-out")
+        chosen = outdir or _section(cfg, "output").get("dir", "bse-out")
+        if not isinstance(chosen, (str, os.PathLike)):
+            raise InvalidArgumentError(f"output.dir must be a string, got {chosen!r}")
+        out = chosen
         os.makedirs(out, exist_ok=True)
         task = cfg["task"]
         params = _build_params(cfg)
@@ -312,7 +331,6 @@ def run(config_path, outdir=None, seed=None) -> int:
             "task": task,
             "params": {"K": params.K, "L": params.L, "alpha": params.alpha,
                        "beta": params.beta, "gamma": params.gamma},
-            "seed": seed,
         }
         if task in ("solve2", "solve4", "eig2", "eig4", "poincare"):
             msh = _build_mesh(_section(cfg, "geometry"))
@@ -346,6 +364,10 @@ def run(config_path, outdir=None, seed=None) -> int:
     except BseError as exc:
         _write_error(out, exc)
         return exc.exit_code
+    except _INTERNAL_ERRORS as exc:  # the run boundary: report, never a traceback
+        log.debug("internal error", exc_info=True)
+        _write_error(out, exc)
+        return 3
 
 
 def main(argv=None) -> int:
@@ -356,7 +378,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a JSON run config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--threads", type=int, default=None)
 
     p_mesh = sub.add_parser("mesh", help="generate a mesh file")
@@ -383,7 +404,7 @@ def main(argv=None) -> int:
     from .errors import BseError
 
     if args.command == "run":
-        return run(args.config, outdir=args.out, seed=args.seed)
+        return run(args.config, outdir=args.out)
     if args.command == "mesh":
         from . import mesh as meshmod
 

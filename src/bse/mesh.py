@@ -116,14 +116,12 @@ def _compute_measures(vertices, triangles, surface):
     return Measures(area=area, perimeter=perimeter)
 
 
-def _edge_counts(triangles):
-    """Map undirected edge -> number of incident triangles."""
-    edges = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            edges[key] = edges.get(key, 0) + 1
-    return edges
+def _edge_keys(triangles, nv):
+    """Undirected edge (a, b) of each triangle side as the int64 key
+    min*nv + max; row i holds the sides (0,1), (1,2), (2,0) of triangle i."""
+    a = triangles
+    b = np.roll(triangles, -1, axis=1)
+    return np.minimum(a, b) * nv + np.maximum(a, b)
 
 
 def _validate(vertices, triangles, surface):
@@ -137,28 +135,26 @@ def _validate(vertices, triangles, surface):
         bad = int(np.argmin(areas))
         raise InvariantViolationError(
             f"triangle {bad} has non-positive signed area {areas[bad]:.3e}")
-    if len(np.unique(surface)) != len(surface):
+    surface_set = np.unique(surface)
+    if len(surface_set) != len(surface):
         raise InvariantViolationError("surface cycle visits a node twice")
-    edges = _edge_counts(triangles)
-    if any(c > 2 for c in edges.values()):
+    # sorted unique edges and the number of incident triangles of each
+    keys, counts = np.unique(_edge_keys(triangles, nv), return_counts=True)
+    if np.any(counts > 2):
         raise InvariantViolationError("non-manifold edge (more than two incident triangles)")
-    boundary_edges = {e for e, c in edges.items() if c == 1}
-    cycle_edges = set()
-    ns = len(surface)
-    for i in range(ns):
-        a, b = int(surface[i]), int(surface[(i + 1) % ns])
-        cycle_edges.add((a, b) if a < b else (b, a))
-    if len(cycle_edges) != ns:
+    boundary_edges = keys[counts == 1]
+    cycle_edges = np.unique(_edge_keys(surface[None, :], nv))
+    if len(cycle_edges) != len(surface):
         raise InvariantViolationError("surface cycle has a repeated edge")
-    if cycle_edges != boundary_edges:
+    boundary_vertices = np.unique(np.concatenate([boundary_edges // nv, boundary_edges % nv]))
+    if not np.array_equal(boundary_vertices, surface_set):
+        raise InvariantViolationError("trace map is not a bijection onto the boundary vertices")
+    if not np.array_equal(cycle_edges, boundary_edges):
         raise InvariantViolationError(
             "surface cycle does not match the triangulation boundary; "
             "boundary must be a single closed cycle")
-    boundary_vertices = {v for e in boundary_edges for v in e}
-    if boundary_vertices != set(int(s) for s in surface):
-        raise InvariantViolationError("trace map is not a bijection onto the boundary vertices")
     # Euler relation for a triangulated disk-like domain
-    euler = nv - len(edges) + triangles.shape[0]
+    euler = nv - len(keys) + triangles.shape[0]
     if euler != 1:
         raise InvariantViolationError(f"Euler characteristic V-E+T = {euler}, expected 1")
 
@@ -260,36 +256,34 @@ def _orient_ccw(vertices, triangles):
 
 
 def _refine(mesh: Mesh, project_unit_circle: bool = False) -> Mesh:
-    """Quadrisect every triangle; optionally re-project boundary midpoints."""
-    verts = list(map(tuple, mesh.vertices))
-    boundary_edges = {tuple(sorted(e)) for e in mesh.surface_edges.tolist()}
-    midpoint = {}
+    """Quadrisect every triangle; optionally re-project boundary midpoints.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint.get(key)
-        if idx is None:
-            p = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            if project_unit_circle and key in boundary_edges:
-                p = p / np.hypot(p[0], p[1])
-            idx = len(verts)
-            verts.append((float(p[0]), float(p[1])))
-            midpoint[key] = idx
-        return idx
+    Edge midpoints are numbered after the old vertices in the order their
+    edges first occur, triangle by triangle and side (0,1), (1,2), (2,0).
+    """
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    keys = _edge_keys(mesh.triangles, nv).reshape(-1)
+    edges, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    number = np.empty(len(edges), dtype=np.int64)
+    number[np.argsort(first)] = np.arange(nv, nv + len(edges))
+    mids = number[inverse].reshape(nt, 3)
 
-    new_tris = []
-    for i0, i1, i2 in mesh.triangles.tolist():
-        m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
-        new_tris.extend([(i0, m01, m20), (m01, i1, m12), (m20, m12, i2), (m01, m12, m20)])
+    ends = keys[np.sort(first)]  # edge keys in midpoint order
+    lo, hi = ends // nv, ends % nv
+    points = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
+    surface_keys = _edge_keys(mesh.surface_nodes[None, :], nv).reshape(-1)
+    if project_unit_circle:
+        on_boundary = np.isin(ends, surface_keys)
+        p = points[on_boundary]
+        points[on_boundary] = p / np.hypot(p[:, 0], p[:, 1])[:, None]
 
-    new_surface = []
-    s = mesh.surface_nodes.tolist()
-    for i in range(len(s)):
-        a, b = s[i], s[(i + 1) % len(s)]
-        new_surface.append(a)
-        new_surface.append(midpoint[(a, b) if a < b else (b, a)])
-    return Mesh(np.array(verts), np.array(new_tris, dtype=np.int64),
-                np.array(new_surface, dtype=np.int64))
+    i0, i1, i2 = mesh.triangles.T
+    m01, m12, m20 = mids.T
+    new_tris = np.stack([i0, m01, m20, m01, i1, m12, m20, m12, i2, m01, m12, m20],
+                        axis=1).reshape(-1, 3)
+    new_surface = np.column_stack(
+        [mesh.surface_nodes, number[np.searchsorted(edges, surface_keys)]]).reshape(-1)
+    return Mesh(np.concatenate([mesh.vertices, points]), new_tris, new_surface)
 
 
 # ---------------------------------------------------------------------------

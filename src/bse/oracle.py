@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bessel_j_raw
+from ._kernels import bessel_j_array, bessel_j_raw
 from .errors import InvalidArgumentError
 
 log = logging.getLogger(__name__)
@@ -43,9 +43,7 @@ def bessel_j_prime(m: int, x: float) -> float:
         raise InvalidArgumentError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {m}")
     if not (0.0 <= x <= BESSEL_MAX_ARG):
         raise InvalidArgumentError(f"argument must be in [0, {BESSEL_MAX_ARG}], got {x}")
-    if m == 0:
-        return -float(bessel_j_raw(1, float(x)))
-    return 0.5 * float(bessel_j_raw(m - 1, float(x)) - bessel_j_raw(m + 1, float(x)))
+    return float(_bessel_pair(int(m), np.array([x], dtype=np.float64))[1][0])
 
 
 @dataclass(frozen=True)
@@ -57,70 +55,97 @@ class DispersionRoot:
     multiplicity: int
 
 
-def _robin_side(k_like, m, sqrt_lam):
-    return k_like * sqrt_lam * bessel_j_prime(m, sqrt_lam) + bessel_j(m, sqrt_lam)
+def _bessel_pair(m, s):
+    """J_m(s) and J_m'(s) elementwise, from one kernel call; the orders
+    ``m`` are a scalar or an array like ``s``."""
+    m = np.broadcast_to(m, s.shape)
+    below, j, above = bessel_j_array(np.stack([np.maximum(m - 1, 0), m, m + 1]), s)
+    return j, np.where(m == 0, -above, 0.5 * (below - above))
+
+
+def _robin_side(k_like, m, lam):
+    """Bulk Robin/Dirichlet relation K s J_m'(s) + J_m(s), s = sqrt(lam),
+    elementwise over the array ``lam``."""
+    s = np.sqrt(lam)
+    j, jp = _bessel_pair(m, s)
+    return k_like * s * jp + j
 
 
 def _dispersion(k_like, alpha, gamma, m, lam):
-    """Rationalized dispersion function; poles at lam = gamma m^2 removed."""
-    s = math.sqrt(lam)
-    return (lam - gamma * m * m) * _robin_side(k_like, m, s) \
-        - alpha * alpha * s * bessel_j_prime(m, s)
+    """Rationalized dispersion function, elementwise over the array ``lam``;
+    poles at lam = gamma m^2 removed."""
+    s = np.sqrt(lam)
+    j, jp = _bessel_pair(m, s)
+    return (lam - gamma * m * m) * (k_like * s * jp + j) - alpha * alpha * s * jp
 
 
 def _coupling_residual(k_like, alpha, gamma, m, lam):
-    """Residual of the unrationalized Robin/Dirichlet relation at lam.
+    """Residual of the unrationalized Robin/Dirichlet relation, elementwise
+    over the array ``lam``.
 
     The surface amplitude is recovered from the surface equation; at a pole
     of that expression the relation cannot hold for alpha != 0, which is
     what rejects spurious rationalization roots.
     """
-    s = math.sqrt(lam)
+    s = np.sqrt(lam)
+    j, jp = _bessel_pair(m, s)
     denom = lam - gamma * m * m
-    if abs(denom) < POLE_EXCLUSION:
-        return math.inf
-    c = alpha * s * bessel_j_prime(m, s) / denom
-    lhs = k_like * s * bessel_j_prime(m, s) + bessel_j(m, s)
-    scale = max(abs(lhs), abs(alpha * c), 1.0)
-    return abs(lhs - alpha * c) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = alpha * s * jp / denom
+        lhs = k_like * s * jp + j
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(alpha * c)), 1.0)
+        res = np.abs(lhs - alpha * c) / scale
+    return np.where(np.abs(denom) < POLE_EXCLUSION, np.inf, res)
 
 
-def _bisect(fun, lo, hi):
-    flo = fun(lo)
+def _brackets(fun, m, lam_max, pole, step):
+    """Sign-change brackets (lo, hi, fun(m, lo)) of mode ``m`` on the
+    standard grid.
+
+    Grid points falling inside the exclusion window of ``pole`` (None for
+    no pole) are nudged so each side of the pole is bracketed separately,
+    and the cell across the pole is no bracket.
+    """
+    grid = step * np.arange(1, int(round(lam_max / step)) + 1)
+    if pole is not None and 0 < pole < lam_max:
+        grid = np.sort(np.concatenate([grid, [pole - POLE_EXCLUSION, pole + POLE_EXCLUSION]]))
+    grid = grid[(grid > 0) & (grid <= lam_max)]
+    f = fun(m, grid)
+    bracket = (f[:-1] < 0) != (f[1:] < 0)
+    if pole is not None:
+        bracket &= ~((grid[:-1] < pole) & (pole < grid[1:]))
+    return grid[:-1][bracket], grid[1:][bracket], f[:-1][bracket]
+
+
+def _bisect(fun, m, lo, hi, flo):
+    """Bisect every bracket [lo_i, hi_i] of fun(m_i, .) in lockstep; ``flo``
+    holds the values at ``lo``.
+
+    Each bracket follows the scalar rule: stop at width ROOT_TOL or on an
+    exact zero of fun, otherwise keep the half whose ends change sign.
+    """
+    roots = np.empty(lo.size)
+    pending = np.arange(lo.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_TOL:
-            return mid
-        fmid = fun(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(fun, lam_max, exclude=(), step=GRID_STEP):
-    """Sign-change bracketing on the standard grid, then bisection.
-
-    ``exclude`` lists pole locations; grid points falling inside the
-    exclusion window are nudged so each side of a pole is bracketed
-    separately.
-    """
-    grid = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
-    for p in exclude:
-        if 0 < p < lam_max:
-            grid.extend([p - POLE_EXCLUSION, p + POLE_EXCLUSION])
-    grid = sorted(g for g in grid if 0 < g <= lam_max)
-    roots = []
-    prev_x, prev_f = grid[0], fun(grid[0])
-    for x in grid[1:]:
-        in_pole_gap = any(prev_x < p < x for p in exclude)
-        f = fun(x)
-        if not in_pole_gap and (prev_f < 0) != (f < 0):
-            roots.append(_bisect(fun, prev_x, x))
-        prev_x, prev_f = x, f
+        done = hi - lo <= ROOT_TOL
+        roots[pending[done]] = mid[done]
+        keep = ~done
+        pending, m, lo, hi, flo, mid = (pending[keep], m[keep], lo[keep], hi[keep],
+                                        flo[keep], mid[keep])
+        if not pending.size:
+            return roots
+        fmid = fun(m, mid)
+        done = fmid == 0.0
+        roots[pending[done]] = mid[done]
+        keep = ~done
+        pending, m, lo, hi, flo, mid, fmid = (pending[keep], m[keep], lo[keep], hi[keep],
+                                              flo[keep], mid[keep], fmid[keep])
+        left = (flo < 0) != (fmid < 0)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fmid)
+    roots[pending] = 0.5 * (lo + hi)
     return roots
 
 
@@ -131,7 +156,9 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     For alpha = 0 the system decouples into bulk Robin/Dirichlet modes and
     pure surface modes at gamma m^2; for alpha != 0 the rationalized
     relation is scanned and spurious pole roots are rejected by the
-    residual of the unrationalized relation.
+    residual of the unrationalized relation.  Each mode's relation is
+    evaluated over the whole grid at once, and the brackets of all modes
+    are bisected together.
     """
     if k_like < 0:
         raise InvalidArgumentError(f"Robin parameter must be >= 0, got {k_like}")
@@ -141,25 +168,30 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
         raise InvalidArgumentError("m_max must be >= 0 and lam_max > 0")
     if lam_max > BESSEL_MAX_ARG ** 2:
         raise InvalidArgumentError(f"lam_max beyond supported Bessel range {BESSEL_MAX_ARG}^2")
+    if alpha == 0.0:
+        def fun(m, lam):
+            return _robin_side(k_like, m, lam)
+    else:
+        def fun(m, lam):
+            return _dispersion(k_like, alpha, gamma, m, lam)
+    modes = range(m_max + 1)
+    parts = [_brackets(fun, m, lam_max, gamma * m * m if alpha != 0.0 else None, grid_step)
+             for m in modes]
+    mode = np.repeat(np.arange(m_max + 1), [lo.size for lo, _, _ in parts])
+    lams = _bisect(fun, mode, *(np.concatenate(arrays) for arrays in zip(*parts)))
+    if alpha != 0.0:
+        spurious = _coupling_residual(k_like, alpha, gamma, mode, lams) > RESIDUAL_TOL
+        for m, lam in zip(mode[spurious].tolist(), lams[spurious].tolist()):
+            log.debug("rejected spurious root m=%d lam=%.12g", m, lam)
+        mode, lams = mode[~spurious], lams[~spurious]
     roots = []
-    for m in range(m_max + 1):
+    for m in modes:
         mult = 1 if m == 0 else 2
-        if alpha == 0.0:
-            for lam in _scan_roots(lambda lam: _robin_side(k_like, m, math.sqrt(lam)),
-                                   lam_max, step=grid_step):
-                roots.append(DispersionRoot(m=m, lam=lam, multiplicity=mult))
-            surf = gamma * m * m
-            if 0 < surf <= lam_max:
-                roots.append(DispersionRoot(m=m, lam=surf, multiplicity=mult))
-            continue
-        pole = gamma * m * m
-        for lam in _scan_roots(lambda lam: _dispersion(k_like, alpha, gamma, m, lam),
-                               lam_max, exclude=(pole,) if pole > 0 else (),
-                               step=grid_step):
-            if _coupling_residual(k_like, alpha, gamma, m, lam) > RESIDUAL_TOL:
-                log.debug("rejected spurious root m=%d lam=%.12g", m, lam)
-                continue
-            roots.append(DispersionRoot(m=m, lam=lam, multiplicity=mult))
+        roots += [DispersionRoot(m=m, lam=lam, multiplicity=mult)
+                  for lam in lams[mode == m].tolist()]
+        surf = gamma * m * m
+        if alpha == 0.0 and 0 < surf <= lam_max:
+            roots.append(DispersionRoot(m=m, lam=surf, multiplicity=mult))
     return sorted(roots, key=lambda r: r.lam)
 
 

@@ -40,8 +40,9 @@ class SolveReport:
     ``defect_compat`` is the compatibility defect of the sources before any
     projection, ``defect_compat_post`` after; ``defect_mean`` is |c.x| of
     the returned solution; ``method`` names the constrained-solve path
-    (``"splu"`` by default).  For fourth-order solves ``intermediate`` holds
-    the auxiliary pair produced by the first stage.
+    (``"splu"`` by default); ``forms`` are the basic forms the solve
+    assembled, for norms of the result.  For fourth-order solves
+    ``intermediate`` holds the auxiliary pair produced by the first stage.
     """
 
     field: CoupledField
@@ -51,6 +52,7 @@ class SolveReport:
     defect_compat_post: float
     defect_mean: float
     method: str
+    forms: BasicForms
     intermediate: CoupledField | None = None
 
 
@@ -104,7 +106,7 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     return SolveReport(field=CoupledField.from_vector(mesh, sol.x),
                        iterations=sol.iterations, residual=sol.residual,
                        defect_compat=pre, defect_compat_post=post, defect_mean=dmean,
-                       method=sol.method)
+                       method=sol.method, forms=forms)
 
 
 def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
@@ -134,7 +136,7 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
                        residual=max(sol1.residual, sol2.residual),
                        defect_compat=pre, defect_compat_post=post,
                        defect_mean=max(dmean1, dmean2), method=sol2.method,
-                       intermediate=mu)
+                       forms=forms, intermediate=mu)
 
 
 # ---------------------------------------------------------------------------

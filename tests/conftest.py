@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+from bse import mesh as meshmod
 
 
 def _dense_bordered_solve(a, b, cs):
@@ -44,3 +48,164 @@ def dense_bordered_solve():
 @pytest.fixture(scope="session")
 def dense_constrained_eigs():
     return _dense_constrained_eigs
+
+
+# ---------------------------------------------------------------------------
+# The scalar Bessel dispersion scan that the vectorized one replaced: one
+# Python-float evaluation per grid point and one bisection per bracket.
+# ---------------------------------------------------------------------------
+
+def _scalar_bessel_j(m, x):
+    if x <= 12.0:  # ascending series
+        half = 0.5 * x
+        term = 1.0
+        for i in range(1, m + 1):
+            term *= half / i
+        total = term
+        x2 = -half * half
+        for j in range(1, 64):
+            term *= x2 / (j * (m + j))
+            total += term
+            if term == 0.0:
+                break
+        return total
+    # Miller's backward recurrence normalized by J_0 + 2 sum J_2k = 1
+    nstart = int(x + 20.0 + 12.0 * x ** (1.0 / 3.0))
+    if nstart < m + 20:
+        nstart = m + 20
+    if nstart % 2 == 1:
+        nstart += 1
+    f_up, f_k, norm, f_m = 0.0, 1e-30, 0.0, 0.0
+    for k in range(nstart, 0, -1):
+        f_dn = (2.0 * k / x) * f_k - f_up
+        f_up = f_k
+        f_k = f_dn
+        idx = k - 1
+        if idx > 0 and idx % 2 == 0:
+            norm += 2.0 * f_k
+        if idx == m:
+            f_m = f_k
+        if abs(f_k) > 1e250:
+            f_k *= 1e-250
+            f_up *= 1e-250
+            norm *= 1e-250
+            f_m *= 1e-250
+    norm += f_k
+    return f_m / norm
+
+
+def _scalar_bessel_jp(m, x):
+    if m == 0:
+        return -_scalar_bessel_j(1, x)
+    return 0.5 * (_scalar_bessel_j(m - 1, x) - _scalar_bessel_j(m + 1, x))
+
+
+def _scalar_bisect(fun, lo, hi):
+    flo = fun(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12:
+            return mid
+        fmid = fun(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0) != (fmid < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_scan(fun, lam_max, exclude, step):
+    grid = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
+    for p in exclude:
+        if 0 < p < lam_max:
+            grid.extend([p - 1e-9, p + 1e-9])
+    grid = sorted(g for g in grid if 0 < g <= lam_max)
+    roots = []
+    prev_x, prev_f = grid[0], fun(grid[0])
+    for x in grid[1:]:
+        f = fun(x)
+        if not any(prev_x < p < x for p in exclude) and (prev_f < 0) != (f < 0):
+            roots.append(_scalar_bisect(fun, prev_x, x))
+        prev_x, prev_f = x, f
+    return roots
+
+
+def _scalar_disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=0.01):
+    """Reference dispersion roots as (m, lam, multiplicity) tuples, sorted by lam."""
+    def robin(m, s):
+        return k_like * s * _scalar_bessel_jp(m, s) + _scalar_bessel_j(m, s)
+
+    def dispersion(m, lam):
+        s = math.sqrt(lam)
+        return (lam - gamma * m * m) * robin(m, s) - alpha * alpha * s * _scalar_bessel_jp(m, s)
+
+    def residual(m, lam):
+        s = math.sqrt(lam)
+        denom = lam - gamma * m * m
+        if abs(denom) < 1e-9:
+            return math.inf
+        c = alpha * s * _scalar_bessel_jp(m, s) / denom
+        lhs = robin(m, s)
+        return abs(lhs - alpha * c) / max(abs(lhs), abs(alpha * c), 1.0)
+
+    roots = []
+    for m in range(m_max + 1):
+        mult = 1 if m == 0 else 2
+        if alpha == 0.0:
+            roots += [(m, lam, mult) for lam in _scalar_scan(
+                lambda lam: robin(m, math.sqrt(lam)), lam_max, (), grid_step)]
+            if 0 < gamma * m * m <= lam_max:
+                roots.append((m, gamma * m * m, mult))
+            continue
+        pole = gamma * m * m
+        roots += [(m, lam, mult) for lam in _scalar_scan(
+            lambda lam: dispersion(m, lam), lam_max, (pole,) if pole > 0 else (), grid_step)
+            if not residual(m, lam) > 1e-9]
+    return sorted(roots, key=lambda r: r[1])
+
+
+# ---------------------------------------------------------------------------
+# The dict-loop refinement that the edge-key version replaced
+# ---------------------------------------------------------------------------
+
+def _dict_refine(mesh, project_unit_circle=False):
+    verts = list(map(tuple, mesh.vertices))
+    boundary_edges = {tuple(sorted(e)) for e in mesh.surface_edges.tolist()}
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = midpoint.get(key)
+        if idx is None:
+            p = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+            if project_unit_circle and key in boundary_edges:
+                p = p / np.hypot(p[0], p[1])
+            idx = len(verts)
+            verts.append((float(p[0]), float(p[1])))
+            midpoint[key] = idx
+        return idx
+
+    new_tris = []
+    for i0, i1, i2 in mesh.triangles.tolist():
+        m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
+        new_tris.extend([(i0, m01, m20), (m01, i1, m12), (m20, m12, i2), (m01, m12, m20)])
+    new_surface = []
+    s = mesh.surface_nodes.tolist()
+    for i in range(len(s)):
+        a, b = s[i], s[(i + 1) % len(s)]
+        new_surface.append(a)
+        new_surface.append(midpoint[(a, b) if a < b else (b, a)])
+    return meshmod.Mesh(np.array(verts), np.array(new_tris, dtype=np.int64),
+                        np.array(new_surface, dtype=np.int64))
+
+
+@pytest.fixture(scope="session")
+def scalar_disk_eigs_second():
+    return _scalar_disk_eigs_second
+
+
+@pytest.fixture(scope="session")
+def dict_refine():
+    return _dict_refine

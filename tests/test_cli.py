@@ -271,3 +271,74 @@ def test_malformed_config_writes_error_json(tmp_path, bad):
     err = json.loads(lines[0])
     assert err["kind"] == "invalid-argument"
     assert ("n_boundary" if "geometry" in bad else "params") in err["message"]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("task blew up\nsecond line"),
+                                 KeyError("task blew up"), np.linalg.LinAlgError("task blew up")])
+def test_unexpected_exception_writes_internal_error(tmp_path, monkeypatch, exc):
+    def broken_task(cfg, params, outdir):
+        raise exc
+
+    monkeypatch.setattr(cli, "_task_oracle", broken_task)
+    cfg = write_config(tmp_path, "oracle.json", {"task": "oracle"})
+    out = tmp_path / "out"
+    assert cli.run(cfg, outdir=str(out)) == 3
+    text = (out / "error.json").read_text()
+    assert text.count("\n") == 1
+    err = json.loads(text)
+    assert err["kind"] == "internal-error"
+    assert err["message"].startswith(f"{type(exc).__name__}: ")
+    assert "task blew up" in err["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_callers_own_exception_propagates(tmp_path, monkeypatch):
+    class Budget(Exception):
+        pass
+
+    def interrupted_task(cfg, params, outdir):
+        raise Budget("over budget")
+
+    monkeypatch.setattr(cli, "_task_oracle", interrupted_task)
+    cfg = write_config(tmp_path, "oracle.json", {"task": "oracle"})
+    with pytest.raises(Budget):
+        cli.run(cfg, outdir=str(tmp_path / "out"))
+
+
+def test_non_string_output_dir_is_invalid_argument(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "oracle.json", {"task": "oracle", "output": {"dir": 5}})
+    assert cli.run(cfg) == 2
+    err = json.loads((tmp_path / "bse-out" / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert "output.dir" in err["message"]
+
+
+def test_seed_option_is_gone(tmp_path):
+    cfg = write_config(tmp_path, "oracle.json", {"task": "oracle"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", cfg, "--seed", "3", "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert "seed" not in json.loads((tmp_path / "b" / "summary.json").read_text())
+
+
+def test_convergence_assembles_forms_once_per_level(tmp_path, monkeypatch):
+    from bse import solver
+
+    calls = []
+    real = solver.assemble_basic
+
+    def counting(msh):
+        calls.append(msh.n_vertices)
+        return real(msh)
+
+    monkeypatch.setattr(solver, "assemble_basic", counting)
+    cfg = write_config(tmp_path, "conv.json", {
+        "geometry": {"type": "disk", "n_boundary": 16, "refine": 1},
+        "params": {"K": 1.0, "alpha": 2.0, "beta": 1.0},
+        "task": "convergence",
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.run(cfg) == 0
+    assert len(calls) == 2

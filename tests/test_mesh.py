@@ -158,3 +158,60 @@ def test_surface_arclength_monotone():
     assert np.all(np.diff(s) > 0)
     total = s[-1] + m.surface_lengths()[-1]
     assert total == pytest.approx(mesh.measures(m).perimeter, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_refine_matches_dict_refine(dict_refine, r):
+    expected = mesh.generate_disk(64, 0)
+    for _ in range(r):
+        expected = dict_refine(expected, project_unit_circle=True)
+    got = mesh.generate_disk(64, r)
+    for name in ("vertices", "triangles", "surface_nodes"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert getattr(got, name).dtype == getattr(expected, name).dtype
+
+
+# unit square split along its diagonal: boundary cycle 0-1-2-3
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+SQUARE_TRIS = np.array([[0, 1, 2], [0, 2, 3]])
+
+
+def test_square_of_two_triangles_is_valid():
+    m = mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1, 2, 3]))
+    assert mesh.measures(m).area == 1.0
+
+
+def test_rejects_non_manifold_edge():
+    # three triangles share the edge 0-1
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+    with pytest.raises(InvariantViolationError, match="non-manifold"):
+        mesh.Mesh(verts, tris, np.array([0, 4, 1, 3]))
+
+
+def test_rejects_repeated_surface_node():
+    with pytest.raises(InvariantViolationError, match="visits a node twice"):
+        mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1, 2, 3, 0]))
+
+
+def test_rejects_repeated_cycle_edge():
+    with pytest.raises(InvariantViolationError, match="repeated edge"):
+        mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1]))
+
+
+def test_rejects_cycle_not_matching_boundary():
+    # the right vertices, in an order that crosses the diagonal
+    with pytest.raises(InvariantViolationError, match="does not match"):
+        mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 2, 1, 3]))
+
+
+def test_rejects_trace_map_missing_boundary_vertex():
+    with pytest.raises(InvariantViolationError, match="bijection"):
+        mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1, 2]))
+
+
+def test_rejects_euler_characteristic_other_than_one():
+    # an unused vertex passes every other check
+    verts = np.vstack([SQUARE, [[5.0, 5.0]]])
+    with pytest.raises(InvariantViolationError, match="Euler"):
+        mesh.Mesh(verts, SQUARE_TRIS, np.array([0, 1, 2, 3]))

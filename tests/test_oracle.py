@@ -158,3 +158,35 @@ def test_disk_eigs_validation():
     with pytest.raises(InvalidArgumentError):
         oracle.disk_eigs_second(1.0, 1.0, 1.0, -1, 10.0)
     assert oracle.disk_eigs_second(1.0, 1.0, 1.0, 0, 0.5) == []
+
+
+@pytest.mark.parametrize("k_like,alpha,gamma,m_max,lam_max,step", [
+    (1.0, 1.0, 1.0, 8, 40.0, 0.01),     # the benchmark's oracle runs
+    (0.0, 1.0, 1.0, 8, 40.0, 0.01),
+    (1.0, 0.0, 1.0, 6, 50.0, 0.01),     # decoupled: Robin roots plus surface modes
+    (0.0, 0.0, 1.3, 5, 30.0, 0.01),     # decoupled Dirichlet
+    (2.0, -1.3, 0.7, 6, 45.0, 0.01),    # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
+    (1.0, 2.0, 0.3, 6, 30.0, 0.01),
+    (1.0, 1.0, 1.0, 3, 400.0, 0.25),    # sqrt(lam) > 12: Miller's recurrence
+])
+def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, alpha, gamma,
+                                             m_max, lam_max, step):
+    roots = oracle.disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=step)
+    expected = scalar_disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=step)
+    assert expected
+    assert [(r.m, r.lam, r.multiplicity) for r in roots] == expected
+    if lam_max > 144.0:
+        assert roots[-1].lam > 144.0
+
+
+def test_bessel_kernel_takes_arrays():
+    from bse import _kernels
+
+    xs = np.array([0.0, 0.5, 11.99, 12.0, 12.01, 47.0, 200.0])
+    orders = np.array([0, 1, 4, 12, 30])[:, None]
+    table = _kernels.bessel_j_array(orders, xs)
+    assert table.shape == (5, 7)
+    for i, m in enumerate(orders[:, 0].tolist()):
+        for k, x in enumerate(xs.tolist()):
+            assert table[i, k] == _kernels.bessel_j_raw(m, x)
+    assert _kernels.bessel_j_array(3, np.empty(0)).shape == (0,)

@@ -303,3 +303,14 @@ def test_refine4_robin_solve_terminates():
     assert eta <= 1e-13
     c = assembly.build_constraints(forms, p.K, p.alpha, p.beta).mean_vector
     assert abs(c @ x) <= 1e-10 * (np.abs(c) @ np.abs(x))
+
+
+def test_solve_report_carries_its_forms():
+    msh = mesh.generate_disk(16, 0)
+    params = ProblemParams(K=1.0, alpha=1.0, beta=1.0)
+    f = np.ones(msh.n_vertices)
+    g = np.ones(msh.n_surface)
+    for solve in (solver.solve_second, solver.solve_fourth):
+        report = solve(msh, params, f, g, strict=False)
+        assert report.forms.mesh is msh
+        assert solver.norm_h0(report.forms, report.field) > 0
