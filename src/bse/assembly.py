@@ -134,9 +134,6 @@ class BasicForms:
         return _from_blocks(self.n_total, [[self.m_bulk.to_scipy(), None],
                                            [None, self.m_surf.to_scipy()]])
 
-    def load(self, f, g):
-        return assemble_load(self, f, g)
-
 
 def _from_blocks(n, blocks):
     coo = sp.bmat(blocks, format="coo")

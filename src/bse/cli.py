@@ -4,8 +4,9 @@ convergence studies driven by a JSON config.
 Heavy numerical imports happen inside the command handlers so that the
 ``--threads`` option can pin the BLAS thread pools before numpy loads.
 Artifacts are CSV files with 17-significant-digit values and a
-``summary.json`` run record; failures produce a one-line ``error.json``
-and a mapped exit code (2 validation, 3 numerical).
+``summary.json`` run record; failures produce a mapped exit code (2
+validation, 3 numerical), one log line and, for ``bse run``, a one-line
+``error.json``.
 """
 
 import argparse
@@ -44,19 +45,28 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _write_error(outdir, exc):
+def _fail(exc, outdir=None):
+    """Report a failed command and return its exit code.
+
+    A ``BseError`` keeps its own kind and exit code; any other exception is
+    an ``internal-error`` (exit 3), its traceback logged at debug level.  The
+    failure is logged in one line and, for a run with an output directory,
+    recorded in ``error.json`` there.
+    """
     kind = getattr(exc, "kind", None)
     message = str(exc)
     if kind is None:  # not a BseError
+        log.debug("internal error", exc_info=True)
         kind, message = "internal-error", f"{type(exc).__name__}: {exc}"
-    payload = {"kind": kind, "message": message}
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "error.json"), "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload) + "\n")
-    except OSError:
-        pass
+    if outdir is not None:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            with open(os.path.join(outdir, "error.json"), "w", encoding="ascii") as fh:
+                fh.write(json.dumps({"kind": kind, "message": message}) + "\n")
+        except OSError:
+            pass
     log.error("%s: %s", kind, message)
+    return getattr(exc, "exit_code", 3)
 
 
 def eoc(errors, hs):
@@ -241,9 +251,13 @@ def _task_oracle(cfg, params, outdir):
     m_max = _value(ocfg, "oracle", "m_max", 8, int)
     lam_max = _value(ocfg, "oracle", "lambda_max", 60.0, float)
     roots = disk_eigs_second(params.K, params.alpha, params.gamma, m_max, lam_max)
-    _write_csv(os.path.join(outdir, "oracle_roots.csv"), ("m", "lambda", "multiplicity"),
-               ((str(r.m), _fmt(r.lam), str(r.multiplicity)) for r in roots))
+    _write_roots(os.path.join(outdir, "oracle_roots.csv"), roots)
     return {"n_roots": len(roots), "m_max": m_max, "lambda_max": lam_max}
+
+
+def _write_roots(path, roots):
+    _write_csv(path, ("m", "lambda", "multiplicity"),
+               ((str(r.m), _fmt(r.lam), str(r.multiplicity)) for r in roots))
 
 
 def _task_convergence(cfg, params, outdir):
@@ -311,9 +325,8 @@ def _task_poincare(msh, params):
 def run(config_path, outdir=None) -> int:
     """Execute one config; returns the process exit code.
 
-    A ``BseError`` exits with its own code; any other fault of the run
-    (``_INTERNAL_ERRORS``) is an ``internal-error`` (exit 3), its traceback
-    logged at debug level.
+    A ``BseError`` or any other fault of the run (``_INTERNAL_ERRORS``)
+    is reported by ``_fail``.
     """
     from .errors import BseError, InvalidArgumentError
 
@@ -361,13 +374,8 @@ def run(config_path, outdir=None) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return 0
-    except BseError as exc:
-        _write_error(out, exc)
-        return exc.exit_code
-    except _INTERNAL_ERRORS as exc:  # the run boundary: report, never a traceback
-        log.debug("internal error", exc_info=True)
-        _write_error(out, exc)
-        return 3
+    except (BseError,) + _INTERNAL_ERRORS as exc:  # the run boundary: never a traceback
+        return _fail(exc, out)
 
 
 def main(argv=None) -> int:
@@ -405,31 +413,23 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         return run(args.config, outdir=args.out)
-    if args.command == "mesh":
-        from . import mesh as meshmod
+    try:
+        if args.command == "mesh":
+            from . import mesh as meshmod
 
-        try:
             if args.geometry == "disk":
                 msh = meshmod.generate_disk(args.n, args.refine)
             else:
                 msh = meshmod.generate_square(args.n)
             meshmod.write_mesh(msh, args.out)
-        except BseError as exc:
-            log.error("%s: %s", exc.kind, exc)
-            return exc.exit_code
-        return 0
-    if args.command == "oracle":
-        from .oracle import disk_eigs_second
+        else:
+            from .oracle import disk_eigs_second
 
-        try:
-            roots = disk_eigs_second(args.K, args.alpha, args.gamma, args.mmax, args.lmax)
-        except BseError as exc:
-            log.error("%s: %s", exc.kind, exc)
-            return exc.exit_code
-        _write_csv(args.out, ("m", "lambda", "multiplicity"),
-                   ((str(r.m), _fmt(r.lam), str(r.multiplicity)) for r in roots))
-        return 0
-    return 2
+            _write_roots(args.out, disk_eigs_second(args.K, args.alpha, args.gamma,
+                                                    args.mmax, args.lmax))
+    except (BseError,) + _INTERNAL_ERRORS as exc:  # no run directory: no error.json
+        return _fail(exc)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Constrained generalized eigenproblems for the coupled system.
 
-Both pencils act on the constrained subspace (trace elimination for a
-Dirichlet coupling, then Householder coordinates of the mean-constraint
-hyperplane, applied in O(n)).  Shift-invert Lanczos (ARPACK, shift 0) finds
-the smallest eigenpairs, inverting with the bordered sparse LU of the
-constrained solves; the fourth-order mass B = M A^+ M is applied through one
-factorized solve and never formed.  Requests for (nearly) the whole spectrum
-are solved densely on the same operators.
+Both pencils act on the constrained subspace: trace elimination for a
+Dirichlet coupling gives the reduced coordinates of the constrained solves,
+and the mean constraint c.x = 0 cuts out a hyperplane of them.  Shift-invert
+Lanczos (ARPACK, shift 0) finds the smallest eigenpairs, inverting with the
+bordered sparse LU of the constrained solves; that solve maps every vector
+onto the hyperplane, so every Krylov vector meets the constraint.  The
+fourth-order mass B = M A^+ M is applied through one factorized solve and
+never formed.  Requests for (nearly) the whole spectrum are solved densely
+in an orthonormal basis of the hyperplane.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +22,14 @@ from .assembly import (
     assemble_coupled,
     build_constraints,
 )
-from .errors import InvalidArgumentError, NoConvergenceError, SingularSystemError
+from .errors import (
+    InvalidArgumentError,
+    NoConvergenceError,
+    NotPositiveDefiniteError,
+    SingularSystemError,
+)
 from .linalg import FactorizedConstrainedSolver, _Reduced, eig_dense_generalized
-from .mesh import Mesh, measures
+from .mesh import Mesh
 
 MULTIPLET_REL_TOL = 1e-8
 MIN_EIGENVALUE = 1e-12
@@ -49,43 +56,6 @@ class EigenResult:
     _pencil: tuple = field(repr=False, default=None)
 
 
-def _dense(op):
-    d = op @ np.eye(op.shape[0])
-    return 0.5 * (d + d.T)
-
-
-class _Subspace:
-    """Coordinates y of the constrained space {x = R Z y : c.x = 0}; Z is the
-    Householder reflection I - 2ww^T/w^Tw sending c to a multiple of e_0,
-    without its first column.  Vectors or blocks of columns throughout."""
-
-    def __init__(self, red):
-        c = red.c_red
-        self.w = c.astype(np.float64).copy()
-        self.w[0] += np.sign(c[0] if c[0] != 0 else 1.0) * np.linalg.norm(c)
-        self.coef = 2.0 / float(self.w @ self.w)
-        self.red, self.dim = red, red.n_red - 1
-
-    def _reflect(self, v):
-        return v - np.multiply.outer(self.w, self.coef * (self.w @ v))
-
-    def lift(self, y):
-        """Z y, in reduced coordinates."""
-        return self._reflect(np.concatenate([np.zeros((1,) + y.shape[1:]), y]))
-
-    def expand(self, y):
-        return self.red.expand(self.lift(y))
-
-    def operator(self, apply):
-        """LinearOperator y -> Z^T apply(Z y) of a map on reduced coordinates."""
-        import scipy.sparse.linalg as spla
-
-        def matvec(y):
-            return self._reflect(apply(self.lift(y)))[1:]
-
-        return spla.LinearOperator((self.dim,) * 2, matvec=matvec, matmat=matvec, dtype=float)
-
-
 def _group_multiplets(w):
     groups = []
     start = 0
@@ -96,55 +66,75 @@ def _group_multiplets(w):
     return groups
 
 
-def _orthonormalize_multiplets(w, y, b_zz):
+def _orthonormalize_multiplets(w, y, b):
     """Gram-Schmidt in the B inner product within each multiplet."""
     for start, end in _group_multiplets(w):
         for j in range(start, end):
             col = y[:, j].copy()
             for i in range(start, j):
-                col -= (y[:, i] @ (b_zz @ col)) * y[:, i]
-            nrm = np.sqrt(col @ (b_zz @ col))
+                col -= (y[:, i] @ (b @ col)) * y[:, i]
+            nrm = np.sqrt(col @ (b @ col))
             y[:, j] = col / nrm
     return y
 
 
-def _finalize(mesh, w, y, a_zz, b_zz, sub, method, op_applications):
+def _project(chat, r):
+    """(I - chat chat^T) r: the component of r, a vector or a block of columns,
+    in the hyperplane with unit normal chat."""
+    return r - np.multiply.outer(chat, chat @ r)
+
+
+def _finalize(mesh, w, y, a, b, red, chat, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
             "the constrained pencil is numerically degenerate")
-    y = _orthonormalize_multiplets(w, y, b_zz)
-    ay = a_zz @ y
-    by = b_zz @ y
-    residuals = np.linalg.norm(ay - by * w[None, :], axis=0) / np.linalg.norm(ay, axis=0)
+    y = _orthonormalize_multiplets(w, y, b)
+    ay = a @ y
+    by = b @ y
+    # A y - lambda B y is a multiple of c (the Lagrange multiplier of the
+    # constraint): residuals are measured on the hyperplane
+    residuals = (np.linalg.norm(_project(chat, ay - by * w[None, :]), axis=0)
+                 / np.linalg.norm(_project(chat, ay), axis=0))
     gram = y.T @ by
     gram_defect = float(np.max(np.abs(gram - np.eye(len(w)))))
     mult = np.empty(len(w), dtype=np.int64)
     for start, end in _group_multiplets(w):
         mult[start:end] = end - start
-    full = sub.expand(y)
+    full = red.expand(y)
     fields = [CoupledField.from_vector(mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
                        gram_defect=gram_defect, multiplicities=mult, method=method,
-                       op_applications=op_applications, _pencil=(a_zz, b_zz, y, sub))
+                       op_applications=op_applications, _pencil=(a, b, y, chat))
 
 
 def _smallest(mesh, solver, b_apply, k):
     """Smallest k eigenpairs of the energy matrix of ``solver`` against the
     full-space map ``b_apply`` on its constrained space, by shift-invert
-    Lanczos with ``solver``'s factorization as the inverse."""
+    Lanczos in reduced coordinates with ``solver``'s factorization as the
+    inverse."""
+    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     red = solver.red
-    sub = _Subspace(red)
-    if not 1 <= k <= sub.dim:
-        raise InvalidArgumentError(f"k must be in [1, {sub.dim}], got {k}")
-    a_zz = sub.operator(lambda x: red.a_red @ x)
-    b_zz = sub.operator(lambda x: red.reduce_rhs(b_apply(red.expand(x))))
-    if k >= sub.dim - 1:
-        # beyond ARPACK (k < dim - 1): the same operators, solved densely
-        w, y = eig_dense_generalized(_dense(a_zz), _dense(b_zz), k)
-        return _finalize(mesh, w, y, a_zz, b_zz, sub, "dense", 0)
+    n = red.n_red
+    if not 1 <= k <= n - 1:
+        raise InvalidArgumentError(f"k must be in [1, {n - 1}], got {k}")
+    a = red.a_red
+    chat = red.c_red / np.linalg.norm(red.c_red)
+
+    def apply_b(x):
+        return red.reduce_rhs(b_apply(red.expand(x)))
+
+    b = spla.LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
+    if k >= n - 2:
+        # beyond ARPACK (k < dim - 1 on the hyperplane of dim n - 1): the
+        # same pencil, solved densely in an orthonormal basis q of the
+        # hyperplane; the solves behind B leave it symmetric only to roundoff
+        q = sla.null_space(red.c_red[None, :])
+        b_qq = q.T @ (b @ q)
+        w, v = eig_dense_generalized(q.T @ (a @ q), 0.5 * (b_qq + b_qq.T), k)
+        return _finalize(mesh, w, q @ v, a, b, red, chat, "dense", 0)
     solves = 0
 
     def solve(x):
@@ -152,15 +142,25 @@ def _smallest(mesh, solver, b_apply, k):
         solves += 1
         return solver.solve_reduced(x)
 
+    # Lanczos orthonormalizes in B + s chat chat^T, which equals B on the
+    # hyperplane.  B = M A^+ M of eig4 is singular off it, and normalizing
+    # the roundoff there in B alone wrecks the Krylov basis.  The bordered
+    # solve maps c to 0, so the shift-invert operator is the same for both.
+    s = float(chat @ apply_b(chat))
+
+    def apply_m(x):
+        return apply_b(x) + s * chat * (chat @ x)
+
     # a fixed start vector: ARPACK's own random start changes between calls
-    v0 = np.random.default_rng(0).standard_normal(sub.dim)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        w, y = spla.eigsh(a_zz, k=k, M=b_zz, sigma=0.0, which="LM",
-                          OPinv=sub.operator(solve), v0=v0)
+        w, y = spla.eigsh(a, k=k, sigma=0.0, which="LM", v0=v0,
+                          M=spla.LinearOperator((n, n), matvec=apply_m, dtype=float),
+                          OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
     order = np.argsort(w)
-    return _finalize(mesh, w[order], y[:, order], a_zz, b_zz, sub, "arpack", solves)
+    return _finalize(mesh, w[order], y[:, order], a, b, red, chat, "arpack", solves)
 
 
 def _factored(forms, k_like, alpha_like, mean_like, gamma):
@@ -195,7 +195,6 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     B-orthonormal, the discrete dual-inner-product orthonormality.
     """
     forms = assemble_basic(mesh)
-    params.check_nondegenerate(measures(mesh))
     mass = forms.block_mass.to_scipy()
     outer = _factored(forms, params.K, params.alpha, params.beta, params.gamma)
     # with L = K and beta = alpha the (L, beta) system with alpha-mean
@@ -234,56 +233,52 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
     red = _Reduced(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
     red.check_kernel()
-    sub = _Subspace(red)
-    a_zz = _dense(sub.operator(lambda x: red.a_red @ x))
+    q = sla.null_space(red.c_red[None, :])
+    a_qq = q.T @ (red.a_red @ q)
     h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],
                   [None, forms.a_surf.to_scipy() + forms.m_surf.to_scipy()]]).tocsr()
-    h1_zz = _dense(sub.operator(lambda x: red.reduce_rhs(h1 @ red.expand(x))))
+    h1_qq = q.T @ red.reduce_rhs(h1 @ red.expand(q))
     try:
-        ell = np.linalg.cholesky(a_zz)
-    except np.linalg.LinAlgError:
+        lo, vlo = eig_dense_generalized(h1_qq, a_qq, 1)
+    except NotPositiveDefiniteError:
         raise SingularSystemError("energy matrix is not positive definite on the "
                                   "constrained subspace") from None
-    c = sla.solve_triangular(ell, h1_zz, lower=True)
-    c = sla.solve_triangular(ell, c.T, lower=True)
-    c = 0.5 * (c + c.T)
-    n = c.shape[0]
-    lo, vlo = sla.eigh(c, subset_by_index=[0, 0])
-    hi, vhi = sla.eigh(c, subset_by_index=[n - 1, n - 1])
-    lo, hi = lo[0], hi[0]
+    # the largest eigenvalue of (H1, A) is the inverse of the smallest of (A, H1)
+    inv_hi, vhi = eig_dense_generalized(a_qq, h1_qq, 1)
+    lo, hi = lo[0], 1.0 / inv_hi[0]
     if lo <= 0:
         raise SingularSystemError(f"H1 pencil produced nonpositive eigenvalue {lo:.3e}")
     a_h, b_h = float(np.sqrt(hi)), float(np.sqrt(1.0 / lo))
     if not return_fields:
         return a_h, b_h
-    fields = [CoupledField.from_vector(mesh, sub.expand(sla.solve_triangular(ell.T, v))[:, 0])
-              for v in (vhi, vlo)]
+    fields = [CoupledField.from_vector(mesh, red.expand(q @ v)[:, 0]) for v in (vhi, vlo)]
     return a_h, b_h, fields[0], fields[1]
 
 
-def minimax_check(result: EigenResult, trials: int, seed=0, tol=1e-10) -> float:
+def minimax_check(result: EigenResult, trials: int, seed=0) -> float:
     """Sampled verification of the variational principle.
 
-    For each computed eigenvalue, random vectors in the B-orthogonal
-    complement of the preceding eigenvectors must have Rayleigh quotient at
-    least lambda_j, and the quotient at the eigenvector itself must equal
-    lambda_j.  Returns the largest violation found (negative slack means a
-    genuine violation; roundoff-level values are expected).
+    For each computed eigenvalue, random vectors of the constrained space in
+    the B-orthogonal complement of the preceding eigenvectors must have
+    Rayleigh quotient at least lambda_j, and the quotient at the eigenvector
+    itself must equal lambda_j.  Returns the largest violation found
+    (negative slack means a genuine violation; roundoff-level values are
+    expected).
     """
-    a_zz, b_zz, y, _ = result._pencil
+    a, b, y, chat = result._pencil
     w = result.eigenvalues
     rng = np.random.default_rng(seed)
     worst = 0.0
     for j in range(len(w)):
         yj = y[:, j]
-        q = float(yj @ (a_zz @ yj)) / float(yj @ (b_zz @ yj))
+        q = float(yj @ (a @ yj)) / float(yj @ (b @ yj))
         worst = max(worst, abs(q - w[j]) / max(abs(w[j]), 1e-30))
         prev = y[:, :j]
-        bprev = b_zz @ prev if j else None
+        bprev = b @ prev if j else None
         for _ in range(trials):
-            v = rng.standard_normal(a_zz.shape[0])
+            v = _project(chat, rng.standard_normal(a.shape[0]))
             if j:
                 v = v - prev @ (bprev.T @ v)
-            q = float(v @ (a_zz @ v)) / float(v @ (b_zz @ v))
+            q = float(v @ (a @ v)) / float(v @ (b @ v))
             worst = max(worst, (w[j] - q) / max(abs(w[j]), 1e-30))
     return worst

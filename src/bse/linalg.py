@@ -207,7 +207,7 @@ class _Reduced:
 
 
 def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet | None, tol=DEFAULT_TOL,
-                      maxiter=None, method="auto", kernel_rhs_tol=KERNEL_RHS_TOL):
+                      maxiter=None, method="auto"):
     """Solve A x = b subject to the constraint set.
 
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
@@ -229,9 +229,9 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet | None, tol=DEFAULT_TOL
     if red.k_red is not None and bnorm > 0:
         kb = float(red.k_red @ b_red)
         rel = abs(kb) / (np.linalg.norm(red.k_red) * bnorm)
-        if rel > kernel_rhs_tol:
+        if rel > KERNEL_RHS_TOL:
             raise IncompatibleRhsError(
-                f"rhs has kernel component {rel:.3e} (tolerance {kernel_rhs_tol:.1e}); "
+                f"rhs has kernel component {rel:.3e} (tolerance {KERNEL_RHS_TOL:.1e}); "
                 "project the sources first")
 
     if method == "cg":
@@ -319,8 +319,7 @@ class FactorizedConstrainedSolver:
 def eig_dense_generalized(a, m, k):
     """Smallest k eigenpairs of A v = lambda M v (A symmetric, M SPD).
 
-    Cholesky-reduces M = L L^T to a standard symmetric problem; returns
-    eigenvalues ascending and M-orthonormal eigenvectors as columns.
+    Returns eigenvalues ascending and M-orthonormal eigenvectors as columns.
     """
     a = np.asarray(a, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
@@ -330,12 +329,10 @@ def eig_dense_generalized(a, m, k):
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     try:
-        ell = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("M is not positive definite (Cholesky failed)") from None
-    y = sla.solve_triangular(ell, a, lower=True)
-    c = sla.solve_triangular(ell, y.T, lower=True)
-    c = 0.5 * (c + c.T)
-    w, vw = sla.eigh(c, subset_by_index=[0, k - 1])
-    v = sla.solve_triangular(ell.T, vw, lower=False)
-    return w, v
+        return sla.eigh(a, m, subset_by_index=[0, k - 1])
+    except np.linalg.LinAlgError as exc:
+        # LAPACK reports a failed Cholesky factorization of M this way; any
+        # other failure (no convergence) is not a property of M
+        if "positive definite" not in str(exc):
+            raise
+        raise NotPositiveDefiniteError(f"M is not positive definite: {exc}") from None

@@ -214,7 +214,7 @@ def generate_disk(n_boundary: int, refine: int = 0) -> Mesh:
     surface = np.arange(len(points) - n_boundary, len(points), dtype=np.int64)
     mesh = Mesh(points, triangles, surface)
     for _ in range(refine):
-        mesh = _refine(mesh, project_unit_circle=True)
+        mesh = _refine(mesh)
     return mesh
 
 
@@ -255,8 +255,8 @@ def _orient_ccw(vertices, triangles):
     return flipped
 
 
-def _refine(mesh: Mesh, project_unit_circle: bool = False) -> Mesh:
-    """Quadrisect every triangle; optionally re-project boundary midpoints.
+def _refine(mesh: Mesh) -> Mesh:
+    """Quadrisect every triangle; boundary midpoints move onto the unit circle.
 
     Edge midpoints are numbered after the old vertices in the order their
     edges first occur, triangle by triangle and side (0,1), (1,2), (2,0).
@@ -272,10 +272,9 @@ def _refine(mesh: Mesh, project_unit_circle: bool = False) -> Mesh:
     lo, hi = ends // nv, ends % nv
     points = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
     surface_keys = _edge_keys(mesh.surface_nodes[None, :], nv).reshape(-1)
-    if project_unit_circle:
-        on_boundary = np.isin(ends, surface_keys)
-        p = points[on_boundary]
-        points[on_boundary] = p / np.hypot(p[:, 0], p[:, 1])[:, None]
+    on_boundary = np.isin(ends, surface_keys)
+    p = points[on_boundary]
+    points[on_boundary] = p / np.hypot(p[:, 0], p[:, 1])[:, None]
 
     i0, i1, i2 = mesh.triangles.T
     m01, m12, m20 = mids.T

@@ -26,7 +26,7 @@ from .assembly import (
 )
 from .errors import IncompatibleSourceError, InvalidArgumentError
 from .linalg import solve_constrained
-from .mesh import Mesh, measures
+from .mesh import Mesh
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ class SolveReport:
     intermediate: CoupledField | None = None
 
 
-def _check_sources(forms, f, g, alpha_like, strict, auto_project):
+def _check_sources(forms, f, g, alpha_like, strict):
     """Compatibility gate: strict mode rejects, otherwise shift g."""
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -70,11 +70,8 @@ def _check_sources(forms, f, g, alpha_like, strict, auto_project):
                 f"{rel:.3e} > {STRICT_COMPAT_REL_TOL:.1e}; project the sources or "
                 "disable strict mode")
         return f, g, defect, defect
-    if auto_project:
-        f, g = project_compatible(forms, f, g, alpha_like)
-        post = compatibility_defect(forms, f, g, alpha_like)
-        return f, g, defect, post
-    return f, g, defect, defect
+    f, g = project_compatible(forms, f, g, alpha_like)
+    return f, g, defect, compatibility_defect(forms, f, g, alpha_like)
 
 
 def _solve_stage(forms, k_like, alpha_like, mean_like, gamma, f, g, strict):
@@ -84,8 +81,7 @@ def _solve_stage(forms, k_like, alpha_like, mean_like, gamma, f, g, strict):
 
 
 def _solve_system(forms, a, cs, alpha_like, f, g, strict):
-    f, g, defect_pre, defect_post = _check_sources(forms, f, g, alpha_like, strict,
-                                                   auto_project=not strict)
+    f, g, defect_pre, defect_post = _check_sources(forms, f, g, alpha_like, strict)
     b = assemble_load(forms, f, g)
     sol = solve_constrained(a, b, cs)
     defect_mean = abs(float(cs.mean_vector @ sol.x))
@@ -100,7 +96,6 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     constant first.
     """
     forms = assemble_basic(mesh)
-    params.check_nondegenerate(measures(mesh))
     sol, pre, post, dmean = _solve_stage(forms, params.K, params.alpha, params.beta,
                                          params.gamma, f, g, strict)
     return SolveReport(field=CoupledField.from_vector(mesh, sol.x),
@@ -117,7 +112,6 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     solves with (K, alpha) coupling and beta-mean constraint.
     """
     forms = assemble_basic(mesh)
-    params.check_nondegenerate(measures(mesh))
     try:
         sol1, pre, post, dmean1 = _solve_stage(forms, params.L, params.beta, params.alpha,
                                                params.gamma, f, g, strict)
@@ -174,7 +168,6 @@ def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     with (L, beta) coupling and alpha-mean constraint: the energy pairing of
     the two solutions."""
     forms = assemble_basic(mesh)
-    params.check_nondegenerate(measures(mesh))
     mat = assemble_coupled(forms, params.L, params.beta, params.gamma)
     cs = build_constraints(forms, params.L, params.beta, params.alpha)
     s = []

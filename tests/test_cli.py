@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -207,6 +208,23 @@ def test_main_mesh_and_oracle_subcommands(tmp_path):
     header, rows = read_csv(roots)
     assert header == ["m", "lambda", "multiplicity"]
     assert cli.main(["mesh", "--geometry", "disk", "--n", "4", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["mesh", "--n", "16"],
+                                  ["oracle", "--mmax", "1", "--lmax", "5"]],
+                         ids=["mesh", "oracle"])
+def test_unwritable_out_is_one_line_internal_error(tmp_path, argv):
+    # no run directory: one log line, exit 3, no traceback and no error.json
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("BSE_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bse.cli", *argv, "--out", str(tmp_path / "missing" / "out")],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("ERROR bse.cli: internal-error: FileNotFoundError: ")
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -134,6 +134,35 @@ def test_expansion_reconstructs_constrained_fields():
     np.testing.assert_allclose(recon, yv, atol=1e-8 * max(1.0, np.abs(yv).max()))
 
 
+@pytest.mark.parametrize("fourth, k_like", [(False, 0.0), (True, 0.0), (True, 1.0)],
+                         ids=["eig2-K0", "eig4-K0", "eig4-K1"])
+@pytest.mark.parametrize("short, method", [(0, "dense"), (2, "arpack")],
+                         ids=["dense", "arpack"])
+def test_whole_spectrum_matches_dense_oracle(fourth, k_like, short, method,
+                                             dense_bordered_solve, dense_constrained_eigs):
+    # k = dim runs the dense fallback, k = dim - 2 the largest ARPACK request,
+    # whose Krylov space fills the constrained space
+    msh = mesh.generate_disk(8, 0)
+    p = ProblemParams(K=k_like, L=2.0, alpha=1.5, beta=0.5)
+    forms = assembly.assemble_basic(msh)
+    mass = forms.block_mass.to_dense()
+    a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
+    if fourth:
+        cs = assembly.build_constraints(forms, p.K, p.alpha, p.beta)
+        b = mass @ dense_bordered_solve(assembly.assemble_coupled(forms, p.L, p.beta, p.gamma),
+                                        mass, assembly.build_constraints(forms, p.L, p.beta, p.alpha))
+    else:
+        cs = assembly.build_constraints(forms, p.K, p.alpha, p.alpha)
+        b = mass
+    k = cs.retained().size - 1 - short
+    res = (eigen.eig_fourth if fourth else eigen.eig_second)(msh, p, k)
+    assert res.method == method
+    np.testing.assert_allclose(res.eigenvalues, dense_constrained_eigs(a, b, cs, k),
+                               rtol=1e-9, atol=0)
+    assert res.residuals.max() <= 1e-10
+    assert res.gram_defect <= 1e-8
+
+
 def test_poincare_matches_first_eigenvalue(disk):
     p = ProblemParams(K=1.0, alpha=1.0, beta=1.0, gamma=1.0)
     res = eigen.eig_second(disk, p, k=1)
@@ -198,14 +227,16 @@ def test_minimax_check_and_negative_control(small_disk):
     violation = eigen.minimax_check(res, trials=30, seed=3)
     assert violation <= 1e-10
     # perturbing an eigenvector must produce a detectable violation
-    a_zz, b_zz, y, sub = res._pencil
+    a, b, y, chat = res._pencil
     y_bad = y.copy()
     rng = np.random.default_rng(4)
-    y_bad[:, 0] += 0.2 * rng.standard_normal(y.shape[0])
+    # a perturbation inside the constrained space {c.x = 0}, unit normal chat
+    r = rng.standard_normal(y.shape[0])
+    y_bad[:, 0] += 0.2 * (r - (chat @ r) * chat)
     bad = eigen.EigenResult(eigenvalues=res.eigenvalues, fields=res.fields,
                             residuals=res.residuals, gram_defect=res.gram_defect,
                             multiplicities=res.multiplicities,
-                            _pencil=(a_zz, b_zz, y_bad, sub))
+                            _pencil=(a, b, y_bad, chat))
     assert eigen.minimax_check(bad, trials=30, seed=3) > 1e-6
 
 
