@@ -34,9 +34,9 @@ class ProblemParams:
     """Scalar data of the coupled system.
 
     K and L are the Robin parameters of the two coupling conditions, alpha
-    and beta the coupling strengths, gamma > 0 scales the surface stiffness.
-    The solvability condition alpha*beta*|Omega_h| + |Gamma_h| != 0 is
-    checked against the discrete measures at solve time.
+    and beta the coupling strengths, gamma > 0 scales the surface stiffness;
+    all are finite.  The solvability condition alpha*beta*|Omega_h| +
+    |Gamma_h| != 0 is checked against the discrete measures at solve time.
     """
 
     K: float = 1.0
@@ -46,16 +46,22 @@ class ProblemParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.K, self.L, self.alpha, self.beta, self.gamma])):
+            raise InvalidArgumentError(f"parameters must be finite, got {self}")
         if self.K < 0 or self.L < 0:
             raise InvalidArgumentError("K and L must be >= 0")
         if self.gamma <= 0:
             raise InvalidArgumentError("gamma must be > 0")
 
-    def check_nondegenerate(self, mm):
-        val = self.alpha * self.beta * mm.area + mm.perimeter
-        if abs(val) <= MEAN_DEGENERACY_REL_TOL * mm.perimeter:
-            raise DegenerateConstraintError(
-                f"alpha*beta*|Omega_h| + |Gamma_h| = {val:.3e} is numerically zero")
+
+def check_mean_pairing(alpha_like, mean_like, mm):
+    """Reject a mean constraint whose pairing with the kernel (alpha, 1),
+    alpha*mean*|Omega_h| + |Gamma_h| for the measures ``mm``, is numerically
+    zero: the constrained system is then singular."""
+    pairing = alpha_like * mean_like * mm.area + mm.perimeter
+    if abs(pairing) <= MEAN_DEGENERACY_REL_TOL * mm.perimeter:
+        raise DegenerateConstraintError(
+            f"alpha*mean*|Omega_h| + |Gamma_h| = {pairing:.3e} is numerically zero")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +202,9 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
     """Trace elimination (K = 0) and the mean-constraint functional.
 
     The mean constraint is c.(u, v) = mean_like * int(u) + int(v) = 0; its
-    pairing with the kernel is alpha*mean*|Omega_h| + |Gamma_h|, which must
-    stay away from zero for the constrained system to be solvable.
+    pairing with the kernel must stay away from zero (``check_mean_pairing``).
     """
-    mm = measures(forms.mesh)
-    pairing = alpha_like * mean_like * mm.area + mm.perimeter
-    if abs(pairing) <= MEAN_DEGENERACY_REL_TOL * mm.perimeter:
-        raise DegenerateConstraintError(
-            f"alpha*mean*|Omega_h| + |Gamma_h| = {pairing:.3e} is numerically zero")
+    check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
     nb = forms.n_bulk
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
     if k_like == 0:

@@ -347,12 +347,14 @@ def run(config_path, outdir=None) -> int:
         }
         if task in ("solve2", "solve4", "eig2", "eig4", "poincare"):
             msh = _build_mesh(_section(cfg, "geometry"))
+            from .assembly import check_mean_pairing
             from .mesh import measures
 
             mm = measures(msh)
             summary["geometry"] = {"n_vertices": msh.n_vertices, "n_surface": msh.n_surface,
                                    "area": mm.area, "perimeter": mm.perimeter}
-            params.check_nondegenerate(mm)
+            # eig2 never builds the beta-mean constraint the other tasks check
+            check_mean_pairing(params.alpha, params.beta, mm)
         if task == "solve2":
             summary.update(_task_solve(cfg, msh, params, out, fourth=False))
         elif task == "solve4":

@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .linalg import FactorizedConstrainedSolver, _Reduced, eig_dense_generalized
+from .linalg import FactorizedConstrainedSolver, ReducedSystem, eig_dense_generalized
 from .mesh import Mesh
 
 MULTIPLET_REL_TOL = 1e-8
@@ -84,7 +84,7 @@ def _project(chat, r):
     return r - np.multiply.outer(chat, chat @ r)
 
 
-def _finalize(mesh, w, y, a, b, red, chat, method, op_applications):
+def _finalize(mesh, w, y, a, b, solver, chat, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
@@ -101,7 +101,7 @@ def _finalize(mesh, w, y, a, b, red, chat, method, op_applications):
     mult = np.empty(len(w), dtype=np.int64)
     for start, end in _group_multiplets(w):
         mult[start:end] = end - start
-    full = red.expand(y)
+    full = solver.expand(y)
     fields = [CoupledField.from_vector(mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
                        gram_defect=gram_defect, multiplicities=mult, method=method,
@@ -111,30 +111,29 @@ def _finalize(mesh, w, y, a, b, red, chat, method, op_applications):
 def _smallest(mesh, solver, b_apply, k):
     """Smallest k eigenpairs of the energy matrix of ``solver`` against the
     full-space map ``b_apply`` on its constrained space, by shift-invert
-    Lanczos in reduced coordinates with ``solver``'s factorization as the
-    inverse."""
+    Lanczos in ``solver``'s reduced coordinates with its factorization as
+    the inverse."""
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
-    red = solver.red
-    n = red.n_red
+    n = solver.n_red
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, {n - 1}], got {k}")
-    a = red.a_red
-    chat = red.c_red / np.linalg.norm(red.c_red)
+    a = solver.a_red
+    chat = solver.c_red / np.linalg.norm(solver.c_red)
 
     def apply_b(x):
-        return red.reduce_rhs(b_apply(red.expand(x)))
+        return solver.reduce_rhs(b_apply(solver.expand(x)))
 
     b = spla.LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
     if k >= n - 2:
         # beyond ARPACK (k < dim - 1 on the hyperplane of dim n - 1): the
         # same pencil, solved densely in an orthonormal basis q of the
         # hyperplane; the solves behind B leave it symmetric only to roundoff
-        q = sla.null_space(red.c_red[None, :])
+        q = sla.null_space(solver.c_red[None, :])
         b_qq = q.T @ (b @ q)
         w, v = eig_dense_generalized(q.T @ (a @ q), 0.5 * (b_qq + b_qq.T), k)
-        return _finalize(mesh, w, q @ v, a, b, red, chat, "dense", 0)
+        return _finalize(mesh, w, q @ v, a, b, solver, chat, "dense", 0)
     solves = 0
 
     def solve(x):
@@ -160,7 +159,7 @@ def _smallest(mesh, solver, b_apply, k):
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
     order = np.argsort(w)
-    return _finalize(mesh, w[order], y[:, order], a, b, red, chat, "arpack", solves)
+    return _finalize(mesh, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
 
 
 def _factored(forms, k_like, alpha_like, mean_like, gamma):
@@ -231,8 +230,7 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
 
     forms = assemble_basic(mesh)
     a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    red = _Reduced(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
-    red.check_kernel()
+    red = ReducedSystem(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
     q = sla.null_space(red.c_red[None, :])
     a_qq = q.T @ (red.a_red @ q)
     h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],

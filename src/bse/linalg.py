@@ -27,6 +27,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-12
 KERNEL_RHS_TOL = 1e-8
+# a direct solve above this reduced relative residual is numerically singular; with
+# K=1 SuperLU reaches 3.8e-12 at refine 4, with K=1e4 1.2e-8 (forward error 1.7e-9)
+DIRECT_RESIDUAL_TOL = 1e-6
 
 
 class CsrMatrix:
@@ -163,15 +166,15 @@ class ConstrainedSolution:
     method: str
 
 
-class _Reduced:
-    """Constraint-reduced view of (A, b): matrices, functionals, expansion."""
+class ReducedSystem:
+    """Constraint-reduced view of A x = b: the reduced matrix R^T A R, the
+    reduced mean functional and kernel direction, and the maps between full
+    and reduced coordinates.  Construction checks that the mean constraint
+    pins down the kernel direction."""
 
-    def __init__(self, a: CsrMatrix, cs: ConstraintSet | None):
-        if cs is None:
-            cs = ConstraintSet(n=a.n)
+    def __init__(self, a: CsrMatrix, cs: ConstraintSet):
         if cs.n != a.n:
             raise DimensionMismatchError(f"constraints built for n={cs.n}, matrix has n={a.n}")
-        self.cs = cs
         if cs.has_elimination:
             self.r = cs.reduction_matrix()
             a_red = (self.r.T @ a.to_scipy() @ self.r).tocsr()
@@ -185,6 +188,15 @@ class _Reduced:
         # the kernel direction restricts to retained entries (R k_red = k)
         self.k_red = (None if cs.kernel is None else cs.kernel.copy() if self.r is None
                       else cs.kernel[cs.retained()])
+        if self.k_red is None:
+            return
+        if self.c_red is None:
+            raise SingularSystemError("operator has a kernel but no mean constraint was given")
+        ck = float(self.c_red @ self.k_red)
+        if abs(ck) <= 1e-12 * np.linalg.norm(self.c_red) * np.linalg.norm(self.k_red):
+            raise SingularSystemError(
+                "kernel direction is annihilated by the constraint functional "
+                f"(c.k = {ck:.3e})")
 
     def reduce_rhs(self, b):
         # right-hand sides and functionals transform by R^T
@@ -193,37 +205,58 @@ class _Reduced:
     def expand(self, x_red):
         return x_red if self.r is None else self.r @ x_red
 
-    def check_kernel(self):
-        if self.k_red is None:
-            return
+
+class FactorizedConstrainedSolver(ReducedSystem):
+    """The reduced system with the sparse LU of its bordered matrix
+    [[A_red, c_red], [c_red^T, 0]] (of A_red alone without a mean
+    constraint), reused across many right-hand sides."""
+
+    def __init__(self, a: CsrMatrix, cs: ConstraintSet):
+        super().__init__(a, cs)
+        # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
+        import scipy.sparse.linalg as spla
+
         if self.c_red is None:
-            raise SingularSystemError("operator has a kernel but no mean constraint was given")
-        ck = float(self.c_red @ self.k_red)
-        scale = np.linalg.norm(self.c_red) * np.linalg.norm(self.k_red)
-        if abs(ck) <= 1e-12 * scale:
-            raise SingularSystemError(
-                "kernel direction is annihilated by the constraint functional "
-                f"(c.k = {ck:.3e})")
+            big = self.a_red.tocsc()
+        else:
+            c = sp.csc_matrix(self.c_red.reshape(-1, 1))
+            big = sp.bmat([[self.a_red, c], [c.T, None]], format="csc")
+        try:
+            self._lu = spla.splu(big)
+        except RuntimeError as exc:
+            raise SingularSystemError(f"constrained system is singular ({exc})") from None
+
+    def solve_reduced(self, b_red):
+        """Solve for reduced right-hand sides, a vector or a block of columns."""
+        border = np.zeros((self._lu.shape[0] - self.n_red,) + b_red.shape[1:])
+        return self._lu.solve(np.concatenate([b_red, border]))[:self.n_red]
+
+    def solve(self, b_full):
+        """Solve for a full-space right-hand side, a vector or a matrix whose
+        columns are right-hand sides."""
+        b_red = self.reduce_rhs(np.asarray(b_full, dtype=np.float64))
+        return self.expand(self.solve_reduced(b_red))
 
 
-def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet | None, tol=DEFAULT_TOL,
+def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
                       maxiter=None, method="auto"):
     """Solve A x = b subject to the constraint set.
 
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
     exactly and c.x = 0.  The default ``method="auto"`` factors the bordered
     system with a sparse LU and reports the achieved reduced relative
-    residual; ``tol`` and ``maxiter`` apply only to ``method="cg"``, the
-    projected conjugate-gradient iteration, which raises NoConvergenceError
-    when it does not reach ``tol``.
+    residual off the mean functional, where the Lagrange multiplier lives;
+    above DIRECT_RESIDUAL_TOL the system is numerically singular and
+    SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
+    ``method="cg"``, the projected conjugate-gradient iteration, which
+    raises NoConvergenceError when it does not reach ``tol``.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (a.n,):
         raise DimensionMismatchError(f"rhs length {b.shape} against matrix dimension {a.n}")
     if method not in ("auto", "cg"):
         raise InvalidArgumentError(f"unknown method {method!r}")
-    red = _Reduced(a, cs)
-    red.check_kernel()
+    red = (FactorizedConstrainedSolver if method == "auto" else ReducedSystem)(a, cs)
     b_red = red.reduce_rhs(b)
     bnorm = np.linalg.norm(b_red)
     if red.k_red is not None and bnorm > 0:
@@ -236,9 +269,15 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet | None, tol=DEFAULT_TOL
 
     if method == "cg":
         return _solve_cg(red, b_red, tol, maxiter)
-    x_red = _factorize(red)(b_red)
-    res = np.linalg.norm(red.a_red @ x_red - b_red) / (bnorm if bnorm > 0 else 1.0)
-    return ConstrainedSolution(red.expand(x_red), 0, float(res), "splu")
+    x_red = red.solve_reduced(b_red)
+    r = red.a_red @ x_red - b_red
+    if red.c_red is not None:  # A x + mu c = b: the multiplier's share mu c is no error
+        r -= red.c_red * ((red.c_red @ r) / (red.c_red @ red.c_red))
+    res = float(np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0))
+    if not res <= DIRECT_RESIDUAL_TOL:
+        raise SingularSystemError(f"constrained system is numerically singular: direct solve "
+                                  f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
+    return ConstrainedSolution(red.expand(x_red), 0, res, "splu")
 
 
 def _solve_cg(red, b_red, tol, maxiter):
@@ -251,69 +290,17 @@ def _solve_cg(red, b_red, tol, maxiter):
         maxiter = 20 * red.n_red
     diag = red.a_red.diagonal().copy()
     diag[diag <= 0] = 1.0
-    cvec = red.c_red if red.c_red is not None else np.empty(0)
-    kdir = red.k_red if red.k_red is not None else np.empty(0)
+    # pcg takes an empty functional and kernel for "none"
     x_red, iters, relres = _kernels.pcg(
-        red.a_red, 1.0 / diag, b_red,
-        np.ascontiguousarray(cvec, dtype=np.float64),
-        np.ascontiguousarray(kdir, dtype=np.float64),
-        float(tol), int(maxiter))
+        red.a_red, 1.0 / diag, b_red, np.empty(0) if red.c_red is None else red.c_red,
+        np.empty(0) if red.k_red is None else red.k_red, float(tol), int(maxiter))
     if relres > tol:
         raise NoConvergenceError(
             f"CG stalled at relative residual {relres:.3e} after {iters} iterations")
-    x_red = _project_mean(x_red, red)
+    if red.c_red is not None:
+        # final oblique projection onto {c.x = 0} along the kernel direction
+        x_red = x_red - (float(red.c_red @ x_red) / float(red.c_red @ red.k_red)) * red.k_red
     return ConstrainedSolution(red.expand(x_red), int(iters), float(relres), "cg")
-
-
-def _project_mean(x_red, red):
-    # final oblique projection onto {c.x = 0} along the kernel direction
-    if red.c_red is None or red.k_red is None:
-        return x_red
-    ck = float(red.c_red @ red.k_red)
-    return x_red - (float(red.c_red @ x_red) / ck) * red.k_red
-
-
-def _factorize(red):
-    """Sparse LU of the bordered system [[A_red, c_red], [c_red^T, 0]] (of
-    A_red alone without a mean constraint).  Returns a solve for reduced
-    right-hand sides, a vector or a block of columns."""
-    # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
-    import scipy.sparse.linalg as spla
-
-    n = red.n_red
-    if red.c_red is None:
-        big = red.a_red.tocsc()
-    else:
-        c = sp.csc_matrix(red.c_red.reshape(-1, 1))
-        big = sp.bmat([[red.a_red, c], [c.T, None]], format="csc")
-    try:
-        lu = spla.splu(big)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"constrained system is singular ({exc})") from None
-    if red.c_red is None:
-        return lu.solve
-
-    def solve(b_red):
-        rhs = np.concatenate([b_red, np.zeros((1,) + b_red.shape[1:])])
-        return lu.solve(rhs)[:n]
-
-    return solve
-
-
-class FactorizedConstrainedSolver:
-    """Bordered sparse-LU factorization reused across many right-hand sides;
-    ``solve_reduced`` takes them in the reduced coordinates of ``red``."""
-
-    def __init__(self, a: CsrMatrix, cs: ConstraintSet | None):
-        self.red = _Reduced(a, cs)
-        self.red.check_kernel()
-        self.solve_reduced = _factorize(self.red)
-
-    def solve(self, b_full):
-        """Solve for a full-space right-hand side, a vector or a matrix whose
-        columns are right-hand sides."""
-        b_red = self.red.reduce_rhs(np.asarray(b_full, dtype=np.float64))
-        return self.red.expand(self.solve_reduced(b_red))
 
 
 def eig_dense_generalized(a, m, k):

@@ -160,6 +160,8 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     evaluated over the whole grid at once, and the brackets of all modes
     are bisected together.
     """
+    if not np.all(np.isfinite([k_like, alpha, gamma, lam_max, grid_step])):
+        raise InvalidArgumentError("oracle parameters must be finite")
     if k_like < 0:
         raise InvalidArgumentError(f"Robin parameter must be >= 0, got {k_like}")
     if gamma <= 0:

@@ -50,6 +50,23 @@ def dense_constrained_eigs():
     return _dense_constrained_eigs
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The matrices passed to ``scipy.sparse.linalg.splu`` while the test runs:
+    one entry per sparse factorization."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    real = spla.splu
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # The scalar Bessel dispersion scan that the vectorized one replaced: one
 # Python-float evaluation per grid point and one bisection per bracket.

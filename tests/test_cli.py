@@ -139,6 +139,52 @@ def test_degenerate_params_exit_2(tmp_path):
     assert json.loads((out / "error.json").read_text())["kind"] == "degenerate-constraint"
 
 
+@pytest.mark.parametrize("task", ["solve2", "solve4"])
+@pytest.mark.parametrize("k_like", [1e20, 1e12])
+def test_numerically_singular_solve_exits_3(tmp_path, task, k_like):
+    # with K this large the coupling vanishes in roundoff and the bulk and
+    # surface constants both become kernels: the direct solve's residual shows it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "weak.json", {
+        "task": task, "geometry": {"n_boundary": 16}, "params": {"K": k_like},
+        "sources": {"f": "1", "g": "0", "strict_compat": False},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "singular-system"
+    assert "numerically singular" in err["message"]
+    if task == "solve4":
+        assert err["message"].startswith("stage 2 (Robin K, coupling alpha): ")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("params", [{"K": math.nan}, {"gamma": math.nan}, {"K": "inf"},
+                                    {"alpha": "-Infinity"}, {"L": math.inf}],
+                         ids=["K-nan", "gamma-nan", "K-inf-string", "alpha-inf-string",
+                              "L-inf"])
+def test_non_finite_params_exit_2(tmp_path, params):
+    # json.dumps writes NaN and Infinity literals, which json.load accepts
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "nan.json", {
+        "task": "solve2", "geometry": {"n_boundary": 16}, "params": params,
+        "sources": {"f": "1", "g": "0", "strict_compat": False},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert "finite" in err["message"]
+
+
+@pytest.mark.parametrize("option", ["--K", "--alpha", "--gamma", "--lmax"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_oracle_rejects_non_finite_values(tmp_path, option, value):
+    roots = tmp_path / "roots.csv"
+    assert cli.main(["oracle", option, value, "--mmax", "1", "--out", str(roots)]) == 2
+    assert not roots.exists()
+
+
 def test_convergence_task(tmp_path):
     cfg = write_config(tmp_path, "conv.json", {
         "geometry": {"type": "disk", "n_boundary": 16, "refine": 2},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bse import assembly, eigen, linalg, mesh, solver
+from bse import assembly, eigen, mesh, solver
 from bse.assembly import CoupledField, ProblemParams
 from bse.errors import InvalidArgumentError
 
@@ -289,14 +289,12 @@ def test_sparse_eigs_match_dense_oracle(disk, k_like, beta, dense_bordered_solve
     (ProblemParams(K=1.0, L=1.0, alpha=1.5, beta=1.5), 1),
     (ProblemParams(K=1.0, L=2.0, alpha=1.5, beta=0.5), 2),
 ], ids=["coinciding", "distinct"])
-def test_eig4_factors_coinciding_systems_once(small_disk, monkeypatch, params, factorizations):
-    calls = []
-    real = linalg._factorize
-
-    def counting(red):
-        calls.append(red)
-        return real(red)
-
-    monkeypatch.setattr(linalg, "_factorize", counting)
+def test_eig4_factors_coinciding_systems_once(small_disk, splu_calls, params, factorizations):
     eigen.eig_fourth(small_disk, params, k=3)
-    assert len(calls) == factorizations
+    assert len(splu_calls) == factorizations
+
+
+def test_norm_equivalence_factors_nothing(small_disk, splu_calls):
+    # the dense pencil needs the reduction of the energy matrix, not its LU
+    eigen.norm_equivalence_constants(small_disk, ProblemParams(K=0.0, alpha=1.5, beta=0.5))
+    assert splu_calls == []

@@ -244,6 +244,40 @@ def test_factorized_solver_matches_single_solves(dense_bordered_solve):
     np.testing.assert_allclose(batch, np.column_stack(cols), atol=1e-10)
 
 
+def _two_paths(weight, n=10):
+    # two unit-weight path graphs joined by one edge of the given weight
+    rows, cols, vals = [], [], []
+    for i in range(n - 1):
+        w = weight if i == n // 2 - 1 else 1.0
+        rows += [i, i, i + 1, i + 1]
+        cols += [i, i + 1, i, i + 1]
+        vals += [w, -w, -w, w]
+    return CsrMatrix.from_coo(n, rows, cols, vals)
+
+
+def test_direct_solve_checks_its_residual():
+    # the rhs is compatible with the joined graph, not with either path alone
+    cs = ConstraintSet(n=10, mean_vector=np.ones(10), kernel=np.ones(10))
+    b = np.concatenate([np.ones(5), -np.ones(5)])
+    assert linalg.solve_constrained(_two_paths(1e-4), b, cs).residual <= 1e-11
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        linalg.solve_constrained(_two_paths(1e-14), b, cs)
+
+
+def test_factorizations_per_solve(splu_calls):
+    rng = np.random.default_rng(9)
+    n = 30
+    a = _graph_laplacian(n, rng)
+    cs = ConstraintSet(n=n, mean_vector=rng.uniform(0.5, 1.5, n), kernel=np.ones(n))
+    b = rng.standard_normal(n)
+    b -= np.mean(b)
+    for calls in (1, 2):
+        linalg.solve_constrained(a, b, cs)
+        assert len(splu_calls) == calls
+    linalg.solve_constrained(a, b, cs, method="cg")
+    assert len(splu_calls) == 2
+
+
 def test_importing_bse_leaves_sparse_linalg_unloaded():
     # scipy.sparse.linalg costs ~0.08 s to import; bse loads it on the first factorization
     code = ("import sys\n"
