@@ -34,15 +34,11 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+def _write_csv(path, header, *columns):
+    from .mesh import table
 
-
-def _write_csv(path, header, rows):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + table(*columns, sep=","))
 
 
 def _fail(exc, outdir=None):
@@ -198,11 +194,8 @@ def _task_solve(cfg, msh, params, outdir, fourth):
     u = report.field.u
     v = report.field.v
     _write_csv(os.path.join(outdir, "solution.csv"), ("node", "x", "y", "u"),
-               ((str(i), _fmt(x), _fmt(y), _fmt(ui))
-                for i, ((x, y), ui) in enumerate(zip(msh.vertices, u))))
-    arclen = msh.surface_arclength()
-    _write_csv(os.path.join(outdir, "surface.csv"), ("s", "v"),
-               ((_fmt(s), _fmt(vi)) for s, vi in zip(arclen, v)))
+               np.arange(msh.n_vertices), *msh.vertices.T, u)
+    _write_csv(os.path.join(outdir, "surface.csv"), ("s", "v"), msh.surface_arclength(), v)
     summary = {
         "defect_compat_pre": report.defect_compat,
         "defect_compat_post": report.defect_compat_post,
@@ -229,9 +222,7 @@ def _task_eig(cfg, msh, params, outdir, fourth):
     elapsed = time.perf_counter() - t0
     _write_csv(os.path.join(outdir, "eigenvalues.csv"),
                ("index", "lambda", "residual", "multiplicity"),
-               ((str(i), _fmt(lam), _fmt(r), str(int(m)))
-                for i, (lam, r, m) in enumerate(
-                    zip(res.eigenvalues, res.residuals, res.multiplicities))))
+               range(len(res.eigenvalues)), res.eigenvalues, res.residuals, res.multiplicities)
     return {
         "k": k,
         "lambda_min": float(res.eigenvalues[0]),
@@ -257,7 +248,7 @@ def _task_oracle(cfg, params, outdir):
 
 def _write_roots(path, roots):
     _write_csv(path, ("m", "lambda", "multiplicity"),
-               ((str(r.m), _fmt(r.lam), str(r.multiplicity)) for r in roots))
+               [r.m for r in roots], [r.lam for r in roots], [r.multiplicity for r in roots])
 
 
 def _task_convergence(cfg, params, outdir):
@@ -266,7 +257,7 @@ def _task_convergence(cfg, params, outdir):
     from . import expr
     from .assembly import CoupledField
     from .errors import InvalidArgumentError
-    from .mesh import generate_disk, max_edge_length
+    from .mesh import generate_disk, max_edge_length, table
     from .oracle import manufactured_second
     from .solver import inner_h0, norm_ka, solve_second
 
@@ -296,13 +287,11 @@ def _task_convergence(cfg, params, outdir):
 
     eoc_l2 = eoc(e_l2, hs)
     eoc_en = eoc(e_en, hs)
-    rows = []
-    for i in range(len(hs)):
-        rows.append((_fmt(hs[i]), _fmt(e_l2[i]), _fmt(e_en[i]),
-                     "" if i == 0 else _fmt(eoc_l2[i - 1]),
-                     "" if i == 0 else _fmt(eoc_en[i - 1])))
-    _write_csv(os.path.join(outdir, "convergence.csv"),
-               ("h", "error_L2", "error_energy", "eoc_L2", "eoc_energy"), rows)
+    with open(os.path.join(outdir, "convergence.csv"), "w", encoding="ascii", newline="\n") as fh:
+        fh.write("h,error_L2,error_energy,eoc_L2,eoc_energy\n"
+                 # the first level has no EOC: its two cells stay blank
+                 + table(hs[:1], e_l2[:1], e_en[:1], sep=",", end=",,\n")
+                 + table(hs[1:], e_l2[1:], e_en[1:], eoc_l2, eoc_en, sep=","))
     return {
         "levels": max_refine + 1,
         "eoc_L2": eoc_l2,

@@ -28,7 +28,8 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .linalg import FactorizedConstrainedSolver, ReducedSystem, eig_dense_generalized
+from .linalg import (DIRECT_RESIDUAL_TOL, FactorizedConstrainedSolver, ReducedSystem,
+                     eig_dense_generalized)
 from .mesh import Mesh
 
 MULTIPLET_REL_TOL = 1e-8
@@ -88,7 +89,7 @@ def _finalize(mesh, w, y, a, b, solver, chat, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
-            "the constrained pencil is numerically degenerate")
+            "the constrained pencil is numerically singular")
     y = _orthonormalize_multiplets(w, y, b)
     ay = a @ y
     by = b @ y
@@ -96,6 +97,9 @@ def _finalize(mesh, w, y, a, b, solver, chat, method, op_applications):
     # constraint): residuals are measured on the hyperplane
     residuals = (np.linalg.norm(_project(chat, ay - by * w[None, :]), axis=0)
                  / np.linalg.norm(_project(chat, ay), axis=0))
+    if not residuals.max() <= DIRECT_RESIDUAL_TOL:
+        raise SingularSystemError(f"eigenpair residual {residuals.max():.3e} > "
+                                  f"{DIRECT_RESIDUAL_TOL:.0e}: the pencil is numerically singular")
     gram = y.T @ by
     gram_defect = float(np.max(np.abs(gram - np.eye(len(w)))))
     mult = np.empty(len(w), dtype=np.int64)

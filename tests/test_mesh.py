@@ -86,7 +86,7 @@ def test_generator_argument_validation():
         mesh.generate_square(1)
 
 
-def test_roundtrip_identity(tmp_path):
+def test_roundtrip_identity(tmp_path, per_line_write_mesh):
     m = mesh.generate_disk(16, 0)
     path = tmp_path / "disk.txt"
     mesh.write_mesh(m, path)
@@ -94,6 +94,12 @@ def test_roundtrip_identity(tmp_path):
     np.testing.assert_array_equal(m.vertices, m2.vertices)
     np.testing.assert_array_equal(m.triangles, m2.triangles)
     np.testing.assert_array_equal(m.surface_nodes, m2.surface_nodes)
+    # the whole-table writer writes the bytes of the per-line one
+    ref = tmp_path / "ref.txt"
+    for m in [mesh.generate_disk(16, r) for r in range(3)] + [mesh.generate_square(4)]:
+        mesh.write_mesh(m, path)
+        per_line_write_mesh(m, ref)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_read_rejects_zero_area_triangle(tmp_path):
@@ -166,6 +172,15 @@ def test_refine_matches_dict_refine(dict_refine, r):
     for _ in range(r):
         expected = dict_refine(expected, project_unit_circle=True)
     got = mesh.generate_disk(64, r)
+    for name in ("vertices", "triangles", "surface_nodes"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert getattr(got, name).dtype == getattr(expected, name).dtype
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_generate_square_matches_loop_generator(loop_square, n):
+    expected = loop_square(n)
+    got = mesh.generate_square(n)
     for name in ("vertices", "triangles", "surface_nodes"):
         assert np.array_equal(getattr(got, name), getattr(expected, name))
         assert getattr(got, name).dtype == getattr(expected, name).dtype
