@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import platform
 import sys
 import time
 
@@ -148,9 +149,11 @@ def _build_mesh(geo):
     if gtype == "square":
         return meshmod.generate_square(_value(geo, "geometry", "n_per_side", 16, int))
     if gtype == "file":
-        if "path" not in geo:
-            raise InvalidArgumentError("geometry.type 'file' requires geometry.path")
-        return meshmod.read_mesh(geo["path"])
+        path = geo.get("path")
+        if not isinstance(path, str):
+            raise InvalidArgumentError(f"geometry.type 'file' requires a string geometry.path, "
+                                       f"got {path!r}")
+        return meshmod.read_mesh(path)
     raise InvalidArgumentError(f"unknown geometry type {gtype!r}")
 
 
@@ -173,7 +176,10 @@ def _nodal_sources(cfg, mesh):
     g_ast = expr.parse(str(sources["g"]))
     f = expr.eval_on_points(f_ast, mesh.vertices)
     g = expr.eval_on_points(g_ast, mesh.vertices[mesh.surface_nodes])
-    return f, g, bool(sources.get("strict_compat", True))
+    strict = sources.get("strict_compat", True)
+    if not isinstance(strict, bool):
+        raise InvalidArgumentError(f"sources.strict_compat must be true or false, got {strict!r}")
+    return f, g, strict
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +364,14 @@ def run(config_path, outdir=None) -> int:
             summary.update(_task_convergence(cfg, params, out))
         elif task == "poincare":
             summary.update(_task_poincare(msh, params))
+        import numpy
+        import scipy
+
         from . import _kernels
 
         summary["kernel_backend"] = _kernels.kernel_backend()
+        summary["versions"] = {"python": platform.python_version(),
+                               "numpy": numpy.__version__, "scipy": scipy.__version__}
         with open(os.path.join(out, "summary.json"), "w", encoding="ascii") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -323,9 +323,12 @@ def read_mesh(path) -> Mesh:
         if len(parts) != 2 or parts[0] != name:
             raise ParseError(f"expected '{name} N'", line=ln)
         try:
-            return int(parts[1])
+            count = int(parts[1])
         except ValueError:
-            raise ParseError(f"bad count in '{name}' section", line=ln) from None
+            count = -1
+        if count < 0:
+            raise ParseError(f"bad count in '{name}' section", line=ln)
+        return count
 
     nv = section("vertices")
     vertices = np.empty((nv, 2))

@@ -3,7 +3,7 @@
 Separation of variables turns the coupled eigenproblem on the disk into a
 per-mode transcendental dispersion relation in the eigenvalue; its roots
 are semi-analytic references for the finite-element spectra.  The module
-also carries the Bessel machinery behind those relations, closed-form
+also carries the Bessel functions behind those relations, closed-form
 circle spectra for the decoupled case, and a manufactured solution family
 for convergence studies.
 """
@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from ._kernels import bessel_j_array, bessel_j_raw
 from .errors import InvalidArgumentError
 
 log = logging.getLogger(__name__)
@@ -27,23 +27,23 @@ POLE_EXCLUSION = 1e-9
 RESIDUAL_TOL = 1e-9
 
 
-def bessel_j(m: int, x: float) -> float:
-    """Bessel function J_m(x); ascending series for x <= 12, Miller's
-    normalized backward recurrence beyond."""
+def _check_bessel_range(m, x):
     if not (0 <= m <= BESSEL_MAX_ORDER):
         raise InvalidArgumentError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {m}")
     if not (0.0 <= x <= BESSEL_MAX_ARG):
         raise InvalidArgumentError(f"argument must be in [0, {BESSEL_MAX_ARG}], got {x}")
-    return float(bessel_j_raw(int(m), float(x)))
+
+
+def bessel_j(m: int, x: float) -> float:
+    """Bessel function J_m(x) (``scipy.special.jv``)."""
+    _check_bessel_range(m, x)
+    return float(special.jv(int(m), x))
 
 
 def bessel_j_prime(m: int, x: float) -> float:
-    """Derivative J_m'(x) from the recurrence (J_(m-1) - J_(m+1)) / 2."""
-    if not (0 <= m <= BESSEL_MAX_ORDER):
-        raise InvalidArgumentError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {m}")
-    if not (0.0 <= x <= BESSEL_MAX_ARG):
-        raise InvalidArgumentError(f"argument must be in [0, {BESSEL_MAX_ARG}], got {x}")
-    return float(_bessel_pair(int(m), np.array([x], dtype=np.float64))[1][0])
+    """Derivative J_m'(x) (``scipy.special.jvp``)."""
+    _check_bessel_range(m, x)
+    return float(special.jvp(int(m), x))
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,9 @@ class DispersionRoot:
 
 
 def _bessel_pair(m, s):
-    """J_m(s) and J_m'(s) elementwise, from one kernel call; the orders
-    ``m`` are a scalar or an array like ``s``."""
-    m = np.broadcast_to(m, s.shape)
-    below, j, above = bessel_j_array(np.stack([np.maximum(m - 1, 0), m, m + 1]), s)
-    return j, np.where(m == 0, -above, 0.5 * (below - above))
+    """J_m(s) and J_m'(s) elementwise; the orders ``m`` are a scalar or an
+    array like ``s``."""
+    return special.jv(m, s), special.jvp(m, s)
 
 
 def _robin_side(k_like, m, lam):
@@ -168,6 +166,8 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
     if m_max < 0 or lam_max <= 0:
         raise InvalidArgumentError("m_max must be >= 0 and lam_max > 0")
+    if grid_step <= 0:
+        raise InvalidArgumentError(f"grid_step must be > 0, got {grid_step}")
     if lam_max > BESSEL_MAX_ARG ** 2:
         raise InvalidArgumentError(f"lam_max beyond supported Bessel range {BESSEL_MAX_ARG}^2")
     if alpha == 0.0:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.special
 
 from bse import mesh as meshmod
 
@@ -68,53 +69,109 @@ def splu_calls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Reference Bessel values (m, x, J_m(x), J_m'(x)), computed once with mpmath
+# at 40 significant digits and rounded to the nearest double:
+#   mpmath.mp.dps = 40
+#   j = mpmath.besselj(m, mpmath.mpf(x)); jp = mpmath.besselj(m, mpmath.mpf(x), derivative=1)
+# ---------------------------------------------------------------------------
+
+BESSEL_REFERENCE = [
+    (0, 0.0, 1.0, 0.0),
+    (0, 0.3, 0.9776262465382961, -0.148318816273104),
+    (0, 2.0, 0.22389077914123567, -0.5767248077568734),
+    (0, 7.25, 0.291996924191779, -0.06858170065313174),
+    (0, 11.5, -0.06765394811166522, 0.22837862066532347),
+    (0, 11.9, 0.025049441699589645, 0.22898324966192404),
+    (0, 12.01, 0.049920430319825355, 0.2227732009297032),
+    (0, 31.7, 0.12399787757698108, 0.06664383546658981),
+    (0, 47.0, -0.07124878990180619, -0.09126876424000789),
+    (0, 113.3, 0.06254221077481278, 0.0410439289791004),
+    (0, 200.0, -0.015437439930565091, 0.05430453818237822),
+    (1, 0.0, 0.0, 0.5),
+    (1, 0.3, 0.148318816273104, 0.48323019229461606),
+    (1, 2.0, 0.5767248077568734, -0.06447162473720103),
+    (1, 7.25, 0.06858170065313174, 0.28253737927410566),
+    (1, 11.5, -0.22837862066532347, -0.04779493761902841),
+    (1, 11.9, -0.22898324966192404, 0.04429173158714629),
+    (1, 12.01, -0.2227732009297032, 0.06846940625069156),
+    (1, 31.7, -0.06664383546658981, 0.1261002067715107),
+    (1, 47.0, 0.09126876424000789, -0.07319067850265742),
+    (1, 113.3, -0.0410439289791004, 0.06290446963605816),
+    (1, 200.0, -0.05430453818237822, -0.015165917239653201),
+    (2, 0.0, 0.0, 0.0),
+    (2, 0.3, 0.011165861949063964, 0.07387973661267758),
+    (2, 2.0, 0.35283402861563773, 0.22389077914123567),
+    (2, 7.25, -0.2730778343564323, 0.14391351702731997),
+    (2, 11.5, 0.02793592712639158, -0.23323704277426113),
+    (2, 11.9, -0.06353402147470293, -0.21830526285945298),
+    (2, 12.01, -0.08701838218155777, -0.208282213056005),
+    (2, 31.7, -0.12820253596604037, -0.058555347393022594),
+    (2, 47.0, 0.07513256710350866, 0.08807163372496496),
+    (2, 113.3, -0.06326672849730353, -0.03992712882910387),
+    (2, 200.0, 0.01489439454874131, -0.05445348212786564),
+    (5, 0.0, 0.0, 0.0),
+    (5, 0.3, 6.304432633771071e-07, 1.0491618190006582e-05),
+    (5, 2.0, 0.007039629755871685, 0.01639664541788922),
+    (5, 7.25, 0.3203580732712001, -0.12930318174909178),
+    (5, 11.5, -0.1711126518868622, 0.17068459885043483),
+    (5, 11.9, -0.0945381715083847, 0.20794196381788063),
+    (5, 12.01, -0.07133772599064789, 0.21353261873835047),
+    (5, 31.7, -0.01570228571605431, 0.14023132412051997),
+    (5, 47.0, 0.07024171851775567, -0.09344013331304718),
+    (5, 113.3, -0.03419800758836393, 0.06683117695287691),
+    (5, 200.0, -0.055132678944014676, -0.011878004792940352),
+    (11, 0.0, 0.0, 0.0),
+    (11, 0.3, 2.1628867030130906e-17, 7.927880579287901e-16),
+    (11, 2.0, 2.3042847583672514e-08, 1.2480296656147484e-07),
+    (11, 7.25, 0.01130295784798715, 0.013391840580918926),
+    (11, 11.5, 0.2390468041492426, 0.07110576773683795),
+    (11, 11.9, 0.26492182893462546, 0.057144887139609885),
+    (11, 12.01, 0.2709360761233609, 0.052120089619715926),
+    (11, 31.7, -0.14469422195835088, -0.017766692006043413),
+    (11, 47.0, 0.043880550861313865, 0.10604097448141792),
+    (11, 113.3, 0.0037146258435003404, -0.07470745135336095),
+    (11, 200.0, 0.056443381222896515, -0.001574217153579144),
+    (20, 0.0, 0.0, 0.0),
+    (20, 0.3, 1.3653224688572002e-35, 9.101174514547027e-34),
+    (20, 2.0, 3.918972805090754e-19, 3.90027046827299e-18),
+    (20, 7.25, 3.343998679003677e-08, 8.630211070068101e-08),
+    (20, 11.5, 0.00012486857217967876, 0.0001801229851709313),
+    (20, 11.9, 0.00021920024856698157, 0.00030068658893124165),
+    (20, 12.01, 0.00025463725372295367, 0.0003445048224942536),
+    (20, 31.7, 0.15593384593010765, 0.026351590444758596),
+    (20, 47.0, 0.11795148529008352, -0.03089769101845918),
+    (20, 113.3, 0.028365230018517314, -0.06905802492502824),
+    (20, 200.0, 0.03745093871086004, 0.042078850536124195),
+    (30, 0.0, 0.0, 0.0),
+    (30, 0.3, 7.223746206919441e-58, 7.223396662884321e-56),
+    (30, 2.0, 3.6502562664740974e-33, 5.463597486254908e-32),
+    (30, 7.25, 1.4799463743544997e-16, 5.948504546869581e-16),
+    (30, 11.5, 7.854409859851759e-11, 1.8980932523797178e-10),
+    (30, 11.9, 2.0257747155121556e-10, 4.703250976192274e-10),
+    (30, 12.01, 2.611582640623901e-10, 5.997822291859615e-10),
+    (30, 31.7, 0.20358411809158455, 0.022674710173402925),
+    (30, 47.0, -0.12250445124899488, -0.03690599501851281),
+    (30, 113.3, 0.0735708142311269, -0.019972672069943968),
+    (30, 200.0, -0.05212227902988283, 0.022302468966747084),
+]
+
+
+@pytest.fixture
+def bessel_reference():
+    return BESSEL_REFERENCE
+
+
+# ---------------------------------------------------------------------------
 # The scalar Bessel dispersion scan that the vectorized one replaced: one
 # Python-float evaluation per grid point and one bisection per bracket.
 # ---------------------------------------------------------------------------
 
 def _scalar_bessel_j(m, x):
-    if x <= 12.0:  # ascending series
-        half = 0.5 * x
-        term = 1.0
-        for i in range(1, m + 1):
-            term *= half / i
-        total = term
-        x2 = -half * half
-        for j in range(1, 64):
-            term *= x2 / (j * (m + j))
-            total += term
-            if term == 0.0:
-                break
-        return total
-    # Miller's backward recurrence normalized by J_0 + 2 sum J_2k = 1
-    nstart = int(x + 20.0 + 12.0 * x ** (1.0 / 3.0))
-    if nstart < m + 20:
-        nstart = m + 20
-    if nstart % 2 == 1:
-        nstart += 1
-    f_up, f_k, norm, f_m = 0.0, 1e-30, 0.0, 0.0
-    for k in range(nstart, 0, -1):
-        f_dn = (2.0 * k / x) * f_k - f_up
-        f_up = f_k
-        f_k = f_dn
-        idx = k - 1
-        if idx > 0 and idx % 2 == 0:
-            norm += 2.0 * f_k
-        if idx == m:
-            f_m = f_k
-        if abs(f_k) > 1e250:
-            f_k *= 1e-250
-            f_up *= 1e-250
-            norm *= 1e-250
-            f_m *= 1e-250
-    norm += f_k
-    return f_m / norm
+    return float(scipy.special.jv(m, x))
 
 
 def _scalar_bessel_jp(m, x):
-    if m == 0:
-        return -_scalar_bessel_j(1, x)
-    return 0.5 * (_scalar_bessel_j(m - 1, x) - _scalar_bessel_j(m + 1, x))
+    return float(scipy.special.jvp(m, x))
 
 
 def _scalar_bisect(fun, lo, hi):

@@ -55,6 +55,7 @@ def test_run_eig2(tmp_path):
     assert lams == sorted(lams)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["task"] == "eig2"
+    assert sorted(summary["versions"]) == ["numpy", "python", "scipy"]
     assert summary["gram_defect"] <= 1e-8
     assert summary["method"] == "arpack"
     assert summary["op_applications"] > 0
@@ -108,6 +109,23 @@ def test_strict_incompatible_exits_2(tmp_path):
     assert cli.run(cfg) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "incompatible-source"
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_non_boolean_strict_compat_exits_2(tmp_path, flag):
+    # "false" must not switch strict mode on by truthiness
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "flag.json", {
+        "geometry": {"type": "disk", "n_boundary": 16, "refine": 0},
+        "params": {"K": 1.0, "alpha": 2.0, "beta": 1.0},
+        "task": "solve2",
+        "sources": {"f": "1", "g": "1", "strict_compat": flag},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert "sources.strict_compat" in err["message"]
 
 
 def test_invalid_config_exits_2(tmp_path):
@@ -351,11 +369,12 @@ def test_refine4_eig2_terminates_and_repeats(tmp_path):
     assert summary["max_residual"] <= 1e-8
 
 
-@pytest.mark.parametrize("bad", [
-    {"geometry": {"type": "disk", "n_boundary": "abc"}},
-    {"params": [1, 2]},
-], ids=["geometry-string", "params-list"])
-def test_malformed_config_writes_error_json(tmp_path, bad):
+@pytest.mark.parametrize("bad,name", [
+    ({"geometry": {"type": "disk", "n_boundary": "abc"}}, "n_boundary"),
+    ({"params": [1, 2]}, "params"),
+    ({"geometry": {"type": "file", "path": 0}}, "geometry.path"),
+], ids=["geometry-string", "params-list", "geometry-path-int"])
+def test_malformed_config_writes_error_json(tmp_path, bad, name):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "bad.json", {
         "task": "eig2", "eig": {"k": 2}, "output": {"dir": str(out)}, **bad})
@@ -364,7 +383,7 @@ def test_malformed_config_writes_error_json(tmp_path, bad):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["kind"] == "invalid-argument"
-    assert ("n_boundary" if "geometry" in bad else "params") in err["message"]
+    assert name in err["message"]
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("task blew up\nsecond line"),

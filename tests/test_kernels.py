@@ -2,7 +2,6 @@
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.special
 
 from bse import _kernels
 
@@ -76,22 +75,17 @@ def test_pcg_singular_with_projection():
     np.testing.assert_allclose(a @ x, b, atol=1e-9)
 
 
-def test_bessel_series_vs_miller_continuity():
-    # the two evaluation regimes must agree where they meet
-    for m in range(0, 12):
-        lo = _kernels._bessel_j_series(m, 11.9)
-        hi = _kernels._bessel_j_miller(m, 11.9)
-        assert abs(lo - hi) < 1e-12
+def test_bessel_vs_scipy_grid(bessel_reference):
+    # the scalar probe and the array evaluation of the oracle scan against
+    # 40-digit mpmath literals
+    from bse import oracle
 
-
-def test_bessel_vs_scipy_grid():
-    xs = np.concatenate([np.linspace(0.01, 12, 40), np.linspace(12.1, 180, 40)])
-    worst = 0.0
-    for m in (0, 1, 2, 5, 11, 20, 30):
-        for x in xs:
-            worst = max(worst, abs(_kernels.bessel_j_raw(m, float(x))
-                                   - scipy.special.jv(m, x)))
-    assert worst <= 1e-12
+    m, x, j, jp = (np.array(col) for col in zip(*bessel_reference))
+    for mi, xi, ji in zip(m.tolist(), x.tolist(), j.tolist()):
+        assert abs(_kernels.bessel_j_raw(mi, xi) - ji) <= 1e-14
+    j_arr, jp_arr = oracle._bessel_pair(m, x)
+    assert np.max(np.abs(j_arr - j)) <= 1e-14
+    assert np.max(np.abs(jp_arr - jp)) <= 1e-14
 
 
 def test_backend_flag_reports():

@@ -134,6 +134,17 @@ def test_read_bad_float_reports_line(tmp_path):
         mesh.read_mesh(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("bse-mesh 1\nvertices -3\n", 2),
+    ("bse-mesh 1\nvertices 0\ntriangles 0\nsurface -1\n", 4),
+], ids=["vertices", "surface"])
+def test_read_negative_count_reports_line(tmp_path, text, line):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"line {line}"):
+        mesh.read_mesh(path)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_aspect_ratio_bounded_across_refinement(n):
     base = mesh.triangle_aspect_ratios(mesh.generate_disk(n, 0)).max()

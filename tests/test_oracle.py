@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from bse import oracle
 from bse.errors import InvalidArgumentError
@@ -15,7 +14,7 @@ def test_bessel_at_zero():
 
 
 def test_bessel_first_j0_zero():
-    # bisection on the implemented series, cross-checked against the known value
+    # bisection on the evaluated J_0, cross-checked against the known value
     lo, hi = 2.0, 3.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -35,12 +34,11 @@ def test_bessel_three_term_recurrence():
             assert abs(lhs - rhs) <= 1e-10
 
 
-def test_bessel_against_scipy():
-    for m in (0, 1, 4, 12, 30):
-        for x in (0.0, 0.3, 2.0, 11.99, 12.01, 47.0, 200.0):
-            assert oracle.bessel_j(m, x) == pytest.approx(scipy.special.jv(m, x), abs=1e-12)
-            assert oracle.bessel_j_prime(m, x) == pytest.approx(
-                scipy.special.jvp(m, x), abs=1e-11)
+def test_bessel_against_scipy(bessel_reference):
+    # SciPy-backed values against 40-digit mpmath literals
+    for m, x, j, jp in bessel_reference:
+        assert abs(oracle.bessel_j(m, x) - j) <= 1e-14
+        assert abs(oracle.bessel_j_prime(m, x) - jp) <= 1e-14
 
 
 def test_bessel_range_validation():
@@ -157,6 +155,9 @@ def test_disk_eigs_validation():
         oracle.disk_eigs_second(1.0, 1.0, 0.0, 2, 10.0)
     with pytest.raises(InvalidArgumentError):
         oracle.disk_eigs_second(1.0, 1.0, 1.0, -1, 10.0)
+    for step in (0.0, -0.01):
+        with pytest.raises(InvalidArgumentError, match="grid_step"):
+            oracle.disk_eigs_second(1.0, 1.0, 1.0, 2, 10.0, grid_step=step)
     assert oracle.disk_eigs_second(1.0, 1.0, 1.0, 0, 0.5) == []
 
 
@@ -167,7 +168,7 @@ def test_disk_eigs_validation():
     (0.0, 0.0, 1.3, 5, 30.0, 0.01),     # decoupled Dirichlet
     (2.0, -1.3, 0.7, 6, 45.0, 0.01),    # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
     (1.0, 2.0, 0.3, 6, 30.0, 0.01),
-    (1.0, 1.0, 1.0, 3, 400.0, 0.25),    # sqrt(lam) > 12: Miller's recurrence
+    (1.0, 1.0, 1.0, 3, 400.0, 0.25),    # sqrt(lam) > 12
 ])
 def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, alpha, gamma,
                                              m_max, lam_max, step):
@@ -178,15 +179,3 @@ def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, al
     if lam_max > 144.0:
         assert roots[-1].lam > 144.0
 
-
-def test_bessel_kernel_takes_arrays():
-    from bse import _kernels
-
-    xs = np.array([0.0, 0.5, 11.99, 12.0, 12.01, 47.0, 200.0])
-    orders = np.array([0, 1, 4, 12, 30])[:, None]
-    table = _kernels.bessel_j_array(orders, xs)
-    assert table.shape == (5, 7)
-    for i, m in enumerate(orders[:, 0].tolist()):
-        for k, x in enumerate(xs.tolist()):
-            assert table[i, k] == _kernels.bessel_j_raw(m, x)
-    assert _kernels.bessel_j_array(3, np.empty(0)).shape == (0,)
