@@ -207,15 +207,17 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
     check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
     nb = forms.n_bulk
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
+    # a surface node sits at its bulk vertex; the coordinates order the sparse LU
+    points = forms.mesh.vertices[np.concatenate([np.arange(nb), forms.trace_indices])]
     if k_like == 0:
         elim = forms.trace_indices.astype(np.int64)
         target = nb + np.arange(forms.n_surf, dtype=np.int64)
         weight = np.full(forms.n_surf, float(alpha_like))
         return ConstraintSet(n=forms.n_total, elim_index=elim, elim_target=target,
                              elim_weight=weight, mean_vector=cvec,
-                             kernel=kernel_pair(forms, alpha_like))
+                             kernel=kernel_pair(forms, alpha_like), points=points)
     return ConstraintSet(n=forms.n_total, mean_vector=cvec,
-                         kernel=kernel_pair(forms, alpha_like))
+                         kernel=kernel_pair(forms, alpha_like), points=points)
 
 
 def assemble_load(forms: BasicForms, f, g) -> np.ndarray:

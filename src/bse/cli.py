@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -372,6 +373,11 @@ def run(config_path, outdir=None) -> int:
         summary["kernel_backend"] = _kernels.kernel_backend()
         summary["versions"] = {"python": platform.python_version(),
                                "numpy": numpy.__version__, "scipy": scipy.__version__}
+        blas = os.environ.get("OPENBLAS_NUM_THREADS", "")
+        summary["blas_threads"] = int(blas) if blas.isdigit() else None
+        # ru_maxrss is in KiB on Linux, in bytes on macOS
+        summary["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                  / (1024 ** 2 if sys.platform == "darwin" else 1024))
         with open(os.path.join(out, "summary.json"), "w", encoding="ascii") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -406,7 +412,9 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
+        if args.threads < 1:
+            p_run.error(f"argument --threads: must be >= 1, got {args.threads}")
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
     _setup_logging()

@@ -4,7 +4,8 @@ The constrained solve handles symmetric positive-semidefinite systems whose
 kernel is a single known direction: the system is reduced by an elimination
 map (Dirichlet-type trace conditions), the mean constraint is appended as a
 Lagrange border, and the bordered system is factored once by a sparse LU
-(SuperLU).  A Jacobi-preconditioned conjugate-gradient iteration with every
+(SuperLU) in a nested-dissection order computed from the coordinates of the
+unknowns.  A Jacobi-preconditioned conjugate-gradient iteration with every
 iterate projected onto the mean-constraint hyperplane remains available on
 request.
 """
@@ -119,10 +120,12 @@ class ConstraintSet:
     of retained indices (here always a single (index, weight) pair realizing
     a nodal trace identity).  ``mean_vector`` is a dense functional c with
     the solution required to satisfy c.x = 0; ``kernel`` is the known kernel
-    direction of the operator on the unconstrained space.
+    direction of the operator on the unconstrained space.  ``points`` are the
+    (x, y) coordinates of the unknowns; they order the sparse LU.
     """
 
     n: int
+    points: np.ndarray
     elim_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     elim_target: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     elim_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -136,6 +139,8 @@ class ConstraintSet:
             raise InvalidArgumentError("eliminated and retained index sets overlap")
         if self.mean_vector is not None and not np.any(self.mean_vector):
             raise InvalidArgumentError("mean-constraint vector must be nonzero")
+        if np.shape(self.points) != (self.n, 2) or not np.all(np.isfinite(self.points)):
+            raise InvalidArgumentError(f"points must be a finite ({self.n}, 2) array")
 
     @property
     def has_elimination(self):
@@ -168,9 +173,9 @@ class ConstrainedSolution:
 
 class ReducedSystem:
     """Constraint-reduced view of A x = b: the reduced matrix R^T A R, the
-    reduced mean functional and kernel direction, and the maps between full
-    and reduced coordinates.  Construction checks that the mean constraint
-    pins down the kernel direction."""
+    reduced mean functional, kernel direction and coordinates, and the maps
+    between full and reduced coordinates.  Construction checks that the mean
+    constraint pins down the kernel direction."""
 
     def __init__(self, a: CsrMatrix, cs: ConstraintSet):
         if cs.n != a.n:
@@ -188,6 +193,7 @@ class ReducedSystem:
         # the kernel direction restricts to retained entries (R k_red = k)
         self.k_red = (None if cs.kernel is None else cs.kernel.copy() if self.r is None
                       else cs.kernel[cs.retained()])
+        self.points = cs.points if self.r is None else cs.points[cs.retained()]
         if self.k_red is None:
             return
         if self.c_red is None:
@@ -206,30 +212,69 @@ class ReducedSystem:
         return x_red if self.r is None else self.r @ x_red
 
 
+def nested_dissection(a, points):
+    """Fill-reducing order of the symmetric sparse matrix ``a`` from the (x, y)
+    coordinates of its unknowns (George, SIAM J. Numer. Anal. 10 (1973)).
+
+    All parts of a level are split at once, each at its mean along its axis of
+    larger variance; the left end of every edge crossing a cut joins the
+    separator.  Each part's halves come before its separator, ties in index
+    order.  Splitting stops after ceil(log2(n / 48)) levels: parts of ~48
+    factored fastest among leaves of 12-96 at refine 2-4 (smaller ones cut
+    the fill by at most 3.5 % but not the time; 96 adds 7-13 % fill).
+    """
+    n = a.shape[0]
+    upper = sp.triu(a, k=1, format="coo")
+    ei, ej = upper.row.astype(np.int64), upper.col.astype(np.int64)
+    part, key = np.zeros((2, n), dtype=np.int64)  # key: base 3, left 0, right 1, separator 2
+    live = np.ones(n, dtype=bool)
+    for _ in range(((n - 1) // 48).bit_length()):
+        idx = np.flatnonzero(live)
+        p, xy = part[idx], points[idx]
+        cnt = np.maximum(np.bincount(p), 1)
+        dev = xy - np.stack([np.bincount(p, c) / cnt for c in xy.T], axis=1)[p]
+        var = np.stack([np.bincount(p, d * d) for d in dev.T], axis=1)
+        side = np.zeros(n, dtype=np.int64)
+        side[idx] = dev[np.arange(idx.size), var.argmax(axis=1)[p]] > 0
+        # live edges never join two parts; the cut ones lose their left end
+        live[np.where(side[ei] == 0, ei, ej)[side[ei] != side[ej]]] = False
+        key = 3 * key + np.where(live, side, 2)
+        part = 2 * part + side
+        keep = live[ei] & live[ej]
+        ei, ej = ei[keep], ej[keep]
+    return np.argsort(key, kind="stable")
+
+
 class FactorizedConstrainedSolver(ReducedSystem):
     """The reduced system with the sparse LU of its bordered matrix
     [[A_red, c_red], [c_red^T, 0]] (of A_red alone without a mean
-    constraint), reused across many right-hand sides."""
+    constraint), reused across many right-hand sides.  The unknowns are
+    factored in ``nested_dissection`` order, the border last; SuperLU keeps
+    that order and prefers diagonal pivots: partial pivoting would undo it."""
 
     def __init__(self, a: CsrMatrix, cs: ConstraintSet):
         super().__init__(a, cs)
         # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
         import scipy.sparse.linalg as spla
 
+        order = nested_dissection(self.a_red, self.points)
+        self._order, self._inv = order, np.argsort(order)
+        a_perm = self.a_red[order][:, order]
         if self.c_red is None:
-            big = self.a_red.tocsc()
+            big = a_perm.tocsc()
         else:
-            c = sp.csc_matrix(self.c_red.reshape(-1, 1))
-            big = sp.bmat([[self.a_red, c], [c.T, None]], format="csc")
+            c = sp.csc_matrix(self.c_red[order].reshape(-1, 1))
+            big = sp.bmat([[a_perm, c], [c.T, None]], format="csc")
         try:
-            self._lu = spla.splu(big)
+            self._lu = spla.splu(big, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularSystemError(f"constrained system is singular ({exc})") from None
 
     def solve_reduced(self, b_red):
         """Solve for reduced right-hand sides, a vector or a block of columns."""
         border = np.zeros((self._lu.shape[0] - self.n_red,) + b_red.shape[1:])
-        return self._lu.solve(np.concatenate([b_red, border]))[:self.n_red]
+        return self._lu.solve(np.concatenate([b_red[self._order], border]))[self._inv]
 
     def solve(self, b_full):
         """Solve for a full-space right-hand side, a vector or a matrix whose

@@ -27,9 +27,13 @@ POLE_EXCLUSION = 1e-9
 RESIDUAL_TOL = 1e-9
 
 
+def _check_order(name, m, upper):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= upper:
+        raise InvalidArgumentError(f"{name} must be an integer in [0, {upper}], got {m!r}")
+
+
 def _check_bessel_range(m, x):
-    if not (0 <= m <= BESSEL_MAX_ORDER):
-        raise InvalidArgumentError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {m}")
+    _check_order("order", m, BESSEL_MAX_ORDER)
     if not (0.0 <= x <= BESSEL_MAX_ARG):
         raise InvalidArgumentError(f"argument must be in [0, {BESSEL_MAX_ARG}], got {x}")
 
@@ -37,13 +41,13 @@ def _check_bessel_range(m, x):
 def bessel_j(m: int, x: float) -> float:
     """Bessel function J_m(x) (``scipy.special.jv``)."""
     _check_bessel_range(m, x)
-    return float(special.jv(int(m), x))
+    return float(special.jv(m, x))
 
 
 def bessel_j_prime(m: int, x: float) -> float:
     """Derivative J_m'(x) (``scipy.special.jvp``)."""
     _check_bessel_range(m, x)
-    return float(special.jvp(int(m), x))
+    return float(special.jvp(m, x))
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,9 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
         raise InvalidArgumentError(f"Robin parameter must be >= 0, got {k_like}")
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
-    if m_max < 0 or lam_max <= 0:
-        raise InvalidArgumentError("m_max must be >= 0 and lam_max > 0")
+    _check_order("m_max", m_max, math.inf)
+    if lam_max <= 0:
+        raise InvalidArgumentError("lam_max must be > 0")
     if grid_step <= 0:
         raise InvalidArgumentError(f"grid_step must be > 0, got {grid_step}")
     if lam_max > BESSEL_MAX_ARG ** 2:

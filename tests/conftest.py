@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.special
+# bound before ``splu_calls`` can patch the module attribute: the reference
+# factorization below is not one of the program's
+from scipy.sparse.linalg import splu as _splu
 
+from bse import linalg
 from bse import mesh as meshmod
 
 
@@ -28,6 +33,23 @@ def _dense_bordered_solve(a, b, cs):
     return r @ np.linalg.solve(big, rhs)[:n]
 
 
+def _default_order_solve(a, b, cs):
+    """Reference constrained solve: SuperLU of the bordered system
+    [[R^T A R, R^T c], [c^T R, 0]] with SuperLU's own default (COLAMD) column
+    order and partial pivoting, independent of the program's
+    nested-dissection order.  Returns the full-space solution and the
+    ``SuperLU`` object."""
+    red = linalg.ReducedSystem(a, cs)
+    if red.c_red is None:
+        big = red.a_red.tocsc()
+    else:
+        c = sp.csc_matrix(red.c_red.reshape(-1, 1))
+        big = sp.bmat([[red.a_red, c], [c.T, None]], format="csc")
+    lu = _splu(big)
+    rhs = np.concatenate([red.reduce_rhs(b), np.zeros(big.shape[0] - red.n_red)])
+    return red.expand(lu.solve(rhs)[:red.n_red]), lu
+
+
 def _dense_constrained_eigs(a, b, cs, k):
     """Reference constrained eigenvalues on small systems: the smallest k of
     the pencil (A, B) on {x = R y : c.x = 0}, by scipy.linalg.eigh in an
@@ -44,6 +66,11 @@ def _dense_constrained_eigs(a, b, cs, k):
 @pytest.fixture(scope="session")
 def dense_bordered_solve():
     return _dense_bordered_solve
+
+
+@pytest.fixture(scope="session")
+def default_order_solve():
+    return _default_order_solve
 
 
 @pytest.fixture(scope="session")

@@ -339,6 +339,21 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "eigenvalues.csv").read_bytes())
     assert outputs[0] == outputs[1]
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["blas_threads"] == 1
+    assert summary["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "-7"])
+def test_thread_count_below_one_exits_2(tmp_path, threads):
+    cfg = write_config(tmp_path, "oracle.json", {"task": "oracle"})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bse.cli", "run", cfg, "--out", str(out), "--threads", threads],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert not out.exists()
 
 
 def test_refine4_eig2_terminates_and_repeats(tmp_path):

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from bse import linalg
+from bse import assembly, linalg, mesh
 from bse.errors import (
     DimensionMismatchError,
     IncompatibleRhsError,
@@ -13,6 +13,11 @@ from bse.errors import (
     SingularSystemError,
 )
 from bse.linalg import ConstraintSet, CsrMatrix
+
+
+def line_points(n):
+    """Coordinates for an abstract matrix: unknown i at (i, 0)."""
+    return np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
 
 
 def path_laplacian():
@@ -69,7 +74,8 @@ def test_csr_structure_validation():
 def test_zero_matrix_with_constraint():
     # only admissible solution of the n=1 all-zero system is x = 0
     a = CsrMatrix.from_coo(1, [], [], [])
-    cs = ConstraintSet(n=1, mean_vector=np.array([1.0]), kernel=np.array([1.0]))
+    cs = ConstraintSet(n=1, points=line_points(1), mean_vector=np.array([1.0]),
+                       kernel=np.array([1.0]))
     sol = linalg.solve_constrained(a, np.zeros(1), cs)
     np.testing.assert_array_equal(sol.x, [0.0])
 
@@ -78,7 +84,7 @@ def test_path_laplacian_constrained_solve():
     # hand KKT solve of A x + mu c = b, c.x = 0 gives x = (1, 0, -1), mu = 0
     a = path_laplacian()
     b = np.array([1.0, 0.0, -1.0])
-    cs = ConstraintSet(n=3, mean_vector=np.ones(3), kernel=np.ones(3))
+    cs = ConstraintSet(n=3, points=line_points(3), mean_vector=np.ones(3), kernel=np.ones(3))
     x = linalg.solve_constrained(a, b, cs).x
     np.testing.assert_allclose(x, [1.0, 0.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(a.apply(x), b, atol=1e-12)
@@ -87,7 +93,7 @@ def test_path_laplacian_constrained_solve():
 
 def test_pure_kernel_rhs_rejected():
     a = path_laplacian()
-    cs = ConstraintSet(n=3, mean_vector=np.ones(3), kernel=np.ones(3))
+    cs = ConstraintSet(n=3, points=line_points(3), mean_vector=np.ones(3), kernel=np.ones(3))
     with pytest.raises(IncompatibleRhsError):
         linalg.solve_constrained(a, np.ones(3), cs)
 
@@ -95,7 +101,8 @@ def test_pure_kernel_rhs_rejected():
 def test_degenerate_constraint_detected():
     a = path_laplacian()
     # constraint functional annihilates the kernel
-    cs = ConstraintSet(n=3, mean_vector=np.array([1.0, -2.0, 1.0]), kernel=np.ones(3))
+    cs = ConstraintSet(n=3, points=line_points(3), mean_vector=np.array([1.0, -2.0, 1.0]),
+                       kernel=np.ones(3))
     with pytest.raises(SingularSystemError):
         linalg.solve_constrained(a, np.zeros(3), cs)
 
@@ -105,7 +112,7 @@ def test_mean_constraint_residual_invariant():
     n = 40
     lap = _graph_laplacian(n, rng)
     c = rng.uniform(1.0, 2.0, n)
-    cs = ConstraintSet(n=n, mean_vector=c, kernel=np.ones(n))
+    cs = ConstraintSet(n=n, points=line_points(n), mean_vector=c, kernel=np.ones(n))
     b = rng.standard_normal(n)
     b -= np.mean(b)  # orthogonal to the constant kernel
     sol = linalg.solve_constrained(lap, b, cs)
@@ -137,7 +144,7 @@ def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
     rng = np.random.default_rng(n)
     a = _graph_laplacian(n, rng)
     c = rng.uniform(0.5, 1.5, n)
-    cs = ConstraintSet(n=n, mean_vector=c, kernel=np.ones(n))
+    cs = ConstraintSet(n=n, points=line_points(n), mean_vector=c, kernel=np.ones(n))
     b = rng.standard_normal(n)
     b -= np.mean(b)
     x_ref = dense_bordered_solve(a, b, cs)
@@ -149,8 +156,8 @@ def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
 def test_elimination_map_reconstruction():
     # eliminate x2 = 0.5 * x0 on a 3x3 SPD system
     a = CsrMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0])
-    cs = ConstraintSet(n=3, elim_index=np.array([2]), elim_target=np.array([0]),
-                       elim_weight=np.array([0.5]))
+    cs = ConstraintSet(n=3, points=line_points(3), elim_index=np.array([2]),
+                       elim_target=np.array([0]), elim_weight=np.array([0.5]))
     b = np.array([1.0, 1.0, 1.0])
     sol = linalg.solve_constrained(a, b, cs)
     assert sol.x[2] == pytest.approx(0.5 * sol.x[0], rel=1e-14)
@@ -160,14 +167,14 @@ def test_elimination_map_reconstruction():
 
 def test_elimination_overlap_rejected():
     with pytest.raises(InvalidArgumentError):
-        ConstraintSet(n=3, elim_index=np.array([1]), elim_target=np.array([1]),
-                      elim_weight=np.array([1.0]))
+        ConstraintSet(n=3, points=line_points(3), elim_index=np.array([1]),
+                      elim_target=np.array([1]), elim_weight=np.array([1.0]))
 
 
 def test_mean_constraint_without_kernel_uses_bordered_path(dense_bordered_solve):
     # definite system + mean constraint: Lagrange-constrained solve
     a = CsrMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
-    cs = ConstraintSet(n=2, mean_vector=np.array([1.0, 1.0]))
+    cs = ConstraintSet(n=2, points=line_points(2), mean_vector=np.array([1.0, 1.0]))
     sol = linalg.solve_constrained(a, np.array([1.0, 3.0]), cs)
     assert sol.method == "splu"
     np.testing.assert_allclose(dense_bordered_solve(a, np.array([1.0, 3.0]), cs),
@@ -231,7 +238,7 @@ def test_factorized_solver_matches_single_solves(dense_bordered_solve):
     n = 30
     a = _graph_laplacian(n, rng)
     c = rng.uniform(0.5, 1.5, n)
-    cs = ConstraintSet(n=n, mean_vector=c, kernel=np.ones(n))
+    cs = ConstraintSet(n=n, points=line_points(n), mean_vector=c, kernel=np.ones(n))
     solver = linalg.FactorizedConstrainedSolver(a, cs)
     cols = []
     rhs = []
@@ -257,7 +264,7 @@ def _two_paths(weight, n=10):
 
 def test_direct_solve_checks_its_residual():
     # the rhs is compatible with the joined graph, not with either path alone
-    cs = ConstraintSet(n=10, mean_vector=np.ones(10), kernel=np.ones(10))
+    cs = ConstraintSet(n=10, points=line_points(10), mean_vector=np.ones(10), kernel=np.ones(10))
     b = np.concatenate([np.ones(5), -np.ones(5)])
     assert linalg.solve_constrained(_two_paths(1e-4), b, cs).residual <= 1e-11
     with pytest.raises(SingularSystemError, match="numerically singular"):
@@ -268,7 +275,8 @@ def test_factorizations_per_solve(splu_calls):
     rng = np.random.default_rng(9)
     n = 30
     a = _graph_laplacian(n, rng)
-    cs = ConstraintSet(n=n, mean_vector=rng.uniform(0.5, 1.5, n), kernel=np.ones(n))
+    cs = ConstraintSet(n=n, points=line_points(n), mean_vector=rng.uniform(0.5, 1.5, n),
+                       kernel=np.ones(n))
     b = rng.standard_normal(n)
     b -= np.mean(b)
     for calls in (1, 2):
@@ -285,3 +293,79 @@ def test_importing_bse_leaves_sparse_linalg_unloaded():
             "print('scipy.sparse.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _mesh_system(msh, k_like, alpha, gamma):
+    """Coupled matrix, constraints and a compatible load on a mesh."""
+    forms = assembly.assemble_basic(msh)
+    a = assembly.assemble_coupled(forms, k_like, alpha, gamma)
+    cs = assembly.build_constraints(forms, k_like, alpha, alpha)
+    x, y = msh.vertices[:, 0], msh.vertices[:, 1]
+    f, g = assembly.project_compatible(forms, 1.0 - 0.5 * (x * x + y * y) + x,
+                                       np.cos(3.0 * y[msh.surface_nodes]), alpha)
+    return a, cs, assembly.assemble_load(forms, f, g)
+
+
+def _relative_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha,gamma", [(1.0, 1.0), (1.5, 0.3)])
+@pytest.mark.parametrize("k_like", [0.0, 1.0])
+@pytest.mark.parametrize("geometry,size", [("disk", 0), ("disk", 1), ("disk", 2), ("disk", 3),
+                                           ("square", 16)])
+def test_nested_dissection_solve_matches_default_order(geometry, size, k_like, alpha, gamma,
+                                                       default_order_solve):
+    msh = mesh.generate_disk(64, size) if geometry == "disk" else mesh.generate_square(size)
+    a, cs, b = _mesh_system(msh, k_like, alpha, gamma)
+    ref, _ = default_order_solve(a, b, cs)
+    assert _relative_gap(linalg.solve_constrained(a, b, cs).x, ref) <= 2e-12
+
+
+def test_nested_dissection_large_k(default_order_solve):
+    # the coupling block grows with K and the conditioning with it: the 1-norm
+    # condition estimate (scipy onenormest) of the refine-2 bordered matrix is
+    # 5.2e4 at K=1 and 3.2e8 at K=1e4; the K=1 bound 2e-12 scaled by that
+    # ratio is 1.3e-8 (1.1e-10 measured)
+    a, cs, b = _mesh_system(mesh.generate_disk(64, 2), 1e4, 1.0, 1.0)
+    ref, _ = default_order_solve(a, b, cs)
+    assert _relative_gap(linalg.solve_constrained(a, b, cs).x, ref) <= 1e-8
+
+
+@pytest.mark.parametrize("k_like", [0.0, 1.0])
+def test_nested_dissection_reduces_fill(k_like, default_order_solve):
+    # an exact count: 735,356 against 836,548 (K=0), 774,614 against 893,022 (K=1)
+    a, cs, b = _mesh_system(mesh.generate_disk(64, 3), k_like, 1.0, 1.0)
+    _, ref = default_order_solve(a, b, cs)
+    lu = linalg.FactorizedConstrainedSolver(a, cs)._lu
+    assert lu.L.nnz + lu.U.nnz < ref.L.nnz + ref.U.nnz
+
+
+def test_nested_dissection_is_a_deterministic_permutation():
+    msh = mesh.generate_disk(64, 2)
+    a, cs, _ = _mesh_system(msh, 0.0, 1.0, 1.0)
+    # bulk vertices, then the vertex each surface node sits on
+    np.testing.assert_array_equal(cs.points, np.vstack([msh.vertices, msh.vertices[msh.surface_nodes]]))
+    red = linalg.ReducedSystem(a, cs)
+    assert red.points.shape == (red.n_red, 2)
+    order = linalg.nested_dissection(red.a_red, red.points)
+    np.testing.assert_array_equal(np.sort(order), np.arange(red.n_red))
+    assert not np.array_equal(order, np.arange(red.n_red))
+    np.testing.assert_array_equal(linalg.nested_dissection(red.a_red, red.points), order)
+
+
+def test_permuted_solver_block_matches_single_solves():
+    a, cs, b = _mesh_system(mesh.generate_disk(16, 2), 0.0, 1.5, 0.3)
+    solver = linalg.FactorizedConstrainedSolver(a, cs)
+    rhs = np.column_stack([b, 2.0 * b, -b])
+    np.testing.assert_allclose(solver.solve(rhs), np.column_stack([solver.solve(col) for col in rhs.T]),
+                               rtol=0, atol=1e-14 * np.max(np.abs(solver.solve(b))))
+
+
+@pytest.mark.parametrize("points", [None, np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(6),
+                                    np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]]),
+                                    np.array([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0]])],
+                         ids=["none", "rows", "cols", "flat", "nan", "inf"])
+def test_constraint_points_validation(points):
+    with pytest.raises(InvalidArgumentError, match="points"):
+        ConstraintSet(n=3, points=points, mean_vector=np.ones(3), kernel=np.ones(3))

@@ -50,6 +50,12 @@ def test_bessel_range_validation():
         oracle.bessel_j(0, -0.5)
     with pytest.raises(InvalidArgumentError):
         oracle.bessel_j(0, 201.0)
+    # the order is an integer, never truncated: J_2.5 is not J_2, True is not 1
+    for m in (2.5, True, 2.0):
+        for fun in (oracle.bessel_j, oracle.bessel_j_prime):
+            with pytest.raises(InvalidArgumentError, match="order"):
+                fun(m, 1.0)
+    assert oracle.bessel_j(np.int64(2), 1.0) == oracle.bessel_j(2, 1.0)
 
 
 def test_decoupled_dirichlet_roots():
@@ -155,6 +161,9 @@ def test_disk_eigs_validation():
         oracle.disk_eigs_second(1.0, 1.0, 0.0, 2, 10.0)
     with pytest.raises(InvalidArgumentError):
         oracle.disk_eigs_second(1.0, 1.0, 1.0, -1, 10.0)
+    for m_max in (2.7, True):
+        with pytest.raises(InvalidArgumentError, match="m_max"):
+            oracle.disk_eigs_second(1.0, 1.0, 1.0, m_max, 10.0)
     for step in (0.0, -0.01):
         with pytest.raises(InvalidArgumentError, match="grid_step"):
             oracle.disk_eigs_second(1.0, 1.0, 1.0, 2, 10.0, grid_step=step)
