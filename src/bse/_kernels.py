@@ -49,16 +49,19 @@ def csr_matvec(indptr, indices, data, x):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi-preconditioned conjugate gradient on a consistent singular system.
+# Preconditioned conjugate gradient on a consistent singular system.
 #
 # Solves A x = b where A is symmetric positive semidefinite with kernel
 # span{kdir} (pass an empty kdir when A is definite).  b is deflated along
 # kdir, search vectors are kept Euclid-orthogonal to kdir, and each iterate
 # is projected onto the hyperplane {cvec . x = 0} along kdir (A kdir = 0, so
-# the residual recurrence is unaffected).  Returns (x, iterations, relres).
+# the residual recurrence is unaffected).  ``precond`` maps a residual r to
+# z = M^-1 r, or is the inverse diagonal (Jacobi).  Returns (x, iterations,
+# relres).
 # ---------------------------------------------------------------------------
 
-def pcg(a, dinv, b, cvec, kdir, tol, maxiter):
+def pcg(a, precond, b, cvec, kdir, tol, maxiter):
+    apply = precond if callable(precond) else precond.__mul__
     has_kernel = kdir.shape[0] > 0
     has_mean = cvec.shape[0] > 0
     if has_kernel:
@@ -71,7 +74,7 @@ def pcg(a, dinv, b, cvec, kdir, tol, maxiter):
     if bnorm == 0.0:
         return x, 0, 0.0
     r = b.copy()
-    z = dinv * r
+    z = apply(r)
     if has_kernel:
         z -= ((kdir @ z) / kk) * kdir
     p = z.copy()
@@ -92,7 +95,7 @@ def pcg(a, dinv, b, cvec, kdir, tol, maxiter):
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
             break
-        z = dinv * r
+        z = apply(r)
         if has_kernel:
             z -= ((kdir @ z) / kk) * kdir
         rz_new = float(r @ z)

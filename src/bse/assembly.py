@@ -205,6 +205,10 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
     pairing with the kernel must stay away from zero (``check_mean_pairing``).
     """
     check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
+    levels, msh = [], forms.mesh
+    while msh.parent is not None:  # the refinement hierarchy, for multigrid
+        levels.insert(0, (msh.parent.n_vertices, msh.parent.n_surface, msh.midpoint_ends))
+        msh = msh.parent
     nb = forms.n_bulk
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
     # a surface node sits at its bulk vertex; the coordinates order the sparse LU
@@ -215,9 +219,11 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
         weight = np.full(forms.n_surf, float(alpha_like))
         return ConstraintSet(n=forms.n_total, elim_index=elim, elim_target=target,
                              elim_weight=weight, mean_vector=cvec,
-                             kernel=kernel_pair(forms, alpha_like), points=points)
+                             kernel=kernel_pair(forms, alpha_like), points=points,
+                             levels=tuple(levels))
     return ConstraintSet(n=forms.n_total, mean_vector=cvec,
-                         kernel=kernel_pair(forms, alpha_like), points=points)
+                         kernel=kernel_pair(forms, alpha_like), points=points,
+                         levels=tuple(levels))
 
 
 def assemble_load(forms: BasicForms, f, g) -> np.ndarray:

@@ -127,16 +127,20 @@ def _section(cfg, name):
 
 
 def _value(sec, name, key, default, kind):
-    """``sec[key]`` converted by ``kind`` (int or float); a value of the wrong
-    type is a validation error naming ``name.key``."""
+    """``sec[key]`` (``default`` when absent) as ``kind``: a JSON integer for
+    int, a finite JSON number for float.  Anything else, a boolean or a
+    string included, is a validation error naming ``name.key``."""
+    import math
+
     from .errors import InvalidArgumentError
 
     value = sec.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidArgumentError(
-            f"{name}.{key} must be {kind.__name__}, got {value!r}") from None
+    if kind is int and type(value) is int:
+        return value
+    if kind is float and type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    raise InvalidArgumentError(f"{name}.{key} must be "
+                               f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
 def _build_mesh(geo):
@@ -208,6 +212,7 @@ def _task_solve(cfg, msh, params, outdir, fourth):
         "defect_compat_post": report.defect_compat_post,
         "defect_mean": report.defect_mean,
         "residual": report.residual,
+        "backward_error": report.backward_error,
         "iterations": report.iterations,
         "method": report.method,
         "norm_u_max": float(np.max(np.abs(u))),

@@ -5,11 +5,14 @@ kernel is a single known direction: the system is reduced by an elimination
 map (Dirichlet-type trace conditions), the mean constraint is appended as a
 Lagrange border, and the bordered system is factored once by a sparse LU
 (SuperLU) in a nested-dissection order computed from the coordinates of the
-unknowns.  A Jacobi-preconditioned conjugate-gradient iteration with every
-iterate projected onto the mean-constraint hyperplane remains available on
-request.
+unknowns.  Large systems on a refined mesh are instead solved by conjugate
+gradients preconditioned by a geometric multigrid V-cycle over the
+refinement hierarchy.  A Jacobi-preconditioned conjugate-gradient iteration
+with every iterate projected onto the mean-constraint hyperplane remains
+available on request.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +31,19 @@ from .errors import (
 
 DEFAULT_TOL = 1e-12
 KERNEL_RHS_TOL = 1e-8
-# a direct solve or eigenpair above this reduced relative residual is numerically singular;
+# a solve or eigenpair above this reduced relative residual is numerically singular;
 # SuperLU reaches 3.8e-12 at refine 4 (K=1), 1.2e-8 with K=1e4; eigenpairs 6e-8 at K=1e8
 DIRECT_RESIDUAL_TOL = 1e-6
+# reduced unknowns from which a system with refinement levels is solved by
+# multigrid CG: the n_boundary = 64 disk has 11k at refine 3 and 42k at refine 4
+MG_MIN_UNKNOWNS = 20000
+MG_OMEGA, MG_SMOOTHING = 0.6, 2  # damped Jacobi: weight; steps before and after
+MG_SWEEP_TOL = 1e-6  # relative residual at which each CG sweep stops
+MG_BACKWARD_TOL = 2e-16  # backward error at which the sweeps stop
+# caps: a sweep takes about 10 iterations; one that stalls near the roundoff
+# floor (K = 1e5) restarts, and a solve that does not converge ends as
+# numerically singular
+MG_MAX_SWEEPS, MG_SWEEP_MAXITER = 10, 30
 
 
 class CsrMatrix:
@@ -122,6 +135,13 @@ class ConstraintSet:
     the solution required to satisfy c.x = 0; ``kernel`` is the known kernel
     direction of the operator on the unconstrained space.  ``points`` are the
     (x, y) coordinates of the unknowns; they order the sparse LU.
+
+    ``levels`` is the refinement hierarchy of a mesh whose bulk vertices and
+    then surface nodes are the unknowns, coarsest mesh first: one
+    ``(n_bulk, n_surf, ends)`` per refinement, with the coarse mesh's sizes
+    and the two coarse vertices whose midpoint each new bulk vertex is.
+    Coarse vertices keep their numbers; coarse surface node i becomes node
+    2i, and node 2i + 1 is the midpoint after it.  Multigrid uses it.
     """
 
     n: int
@@ -131,6 +151,7 @@ class ConstraintSet:
     elim_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
     mean_vector: np.ndarray | None = None
     kernel: np.ndarray | None = None
+    levels: tuple = ()
 
     def __post_init__(self):
         elim = np.asarray(self.elim_index, dtype=np.int64)
@@ -141,6 +162,13 @@ class ConstraintSet:
             raise InvalidArgumentError("mean-constraint vector must be nonzero")
         if np.shape(self.points) != (self.n, 2) or not np.all(np.isfinite(self.points)):
             raise InvalidArgumentError(f"points must be a finite ({self.n}, 2) array")
+        fine = [(nb + len(ends), 2 * ns) for nb, ns, ends in self.levels]
+        if self.levels and (fine[:-1] != [lv[:2] for lv in self.levels[1:]]
+                            or sum(fine[-1]) != self.n
+                            or any(np.shape(ends)[1:] != (2,) or np.size(ends) and not
+                                   (np.min(ends) >= 0 and np.max(ends) < nb)
+                                   for nb, _, ends in self.levels)):
+            raise InvalidArgumentError(f"refinement levels do not chain to n={self.n}")
 
     @property
     def has_elimination(self):
@@ -169,6 +197,7 @@ class ConstrainedSolution:
     iterations: int
     residual: float
     method: str
+    backward_error: float
 
 
 class ReducedSystem:
@@ -176,6 +205,8 @@ class ReducedSystem:
     reduced mean functional, kernel direction and coordinates, and the maps
     between full and reduced coordinates.  Construction checks that the mean
     constraint pins down the kernel direction."""
+
+    iterations = 0  # CG iterations of a subclass's last solve
 
     def __init__(self, a: CsrMatrix, cs: ConstraintSet):
         if cs.n != a.n:
@@ -203,6 +234,16 @@ class ReducedSystem:
             raise SingularSystemError(
                 "kernel direction is annihilated by the constraint functional "
                 f"(c.k = {ck:.3e})")
+
+    @functools.cached_property
+    def norm_inf(self):
+        return float(np.max(abs(self.a_red) @ np.ones(self.n_red), initial=0.0))
+
+    def backward_error(self, x_red, b_red):
+        """Normwise backward error |b - A x| / (|A| |x| + |b|) of the reduced
+        system, in the infinity norm."""
+        denom = self.norm_inf * np.max(np.abs(x_red)) + np.max(np.abs(b_red))
+        return float(np.max(np.abs(b_red - self.a_red @ x_red)) / denom) if denom > 0 else 0.0
 
     def reduce_rhs(self, b):
         # right-hand sides and functionals transform by R^T
@@ -283,16 +324,88 @@ class FactorizedConstrainedSolver(ReducedSystem):
         return self.expand(self.solve_reduced(b_red))
 
 
+class MultigridConstrainedSolver(ReducedSystem):
+    """The reduced system with a geometric multigrid V-cycle over the
+    constraint set's refinement ``levels`` (Hackbusch, *Multi-Grid Methods and
+    Applications*, 1985): nodal prolongations P (bulk midpoints and odd
+    surface nodes average their two ends), Galerkin coarse matrices P^T A P,
+    damped Jacobi smoothing and the pseudo-inverse of the coarsest matrix.
+    With an elimination the prolongation maps reduced to reduced unknowns,
+    P[retained] R_coarse: a midpoint's ends are eliminated alike."""
+
+    def __init__(self, a: CsrMatrix, cs: ConstraintSet):
+        super().__init__(a, cs)
+        if not cs.levels or self.k_red is None:
+            raise InvalidArgumentError("multigrid needs refinement levels and a kernel direction")
+        self._levels = []  # (A, omega / diag A, P, P^T), finest first
+        fine, elim = cs, (cs.elim_index, cs.elim_target, cs.elim_weight)
+        a_l = self.a_red
+        for nb, ns, ends in reversed(cs.levels):
+            m, i, j = len(ends), np.arange(nb), np.arange(ns)
+            nbf = nb + m
+            mid, odd = nb + np.arange(m), nbf + 2 * j + 1
+            p = sp.csr_matrix((np.repeat([1.0, 0.5, 0.5, 1.0, 0.5, 0.5], [nb, m, m, ns, ns, ns]),
+                               (np.concatenate([i, mid, mid, nbf + 2 * j, odd, odd]),
+                                np.concatenate([i, ends[:, 0], ends[:, 1], nb + j, nb + j,
+                                                nb + (j + 1) % ns]))), shape=(fine.n, nb + ns))
+            # a coarse unknown is the fine one it injects to; an elimination
+            # pair is kept when both of its unknowns are coarse
+            inject = np.concatenate([i, nbf + 2 * j])
+            coarse_of = np.full(fine.n, -1)
+            coarse_of[inject] = np.arange(nb + ns)
+            keep = (coarse_of[elim[0]] >= 0) & (coarse_of[elim[1]] >= 0)
+            elim = (coarse_of[elim[0][keep]], coarse_of[elim[1][keep]], elim[2][keep])
+            coarse = ConstraintSet(nb + ns, fine.points[inject], *elim)
+            if cs.has_elimination:
+                p = (p[fine.retained()] @ coarse.reduction_matrix()).tocsr()
+            self._levels.append((a_l, MG_OMEGA / a_l.diagonal(), p, p.T.tocsr()))
+            a_l = (p.T @ a_l @ p).tocsr()
+            fine = coarse
+        self._pinv = np.linalg.pinv(a_l.toarray(), hermitian=True)
+
+    def _vcycle(self, r, level=0):
+        if level == len(self._levels):
+            return self._pinv @ r
+        a, wdinv, p, pt = self._levels[level]
+        x = wdinv * r
+        for _ in range(MG_SMOOTHING - 1):
+            x += wdinv * (r - a @ x)
+        x += p @ self._vcycle(pt @ (r - a @ x), level + 1)
+        for _ in range(MG_SMOOTHING):
+            x += wdinv * (r - a @ x)
+        return x
+
+    def solve_reduced(self, b_red):
+        """CG sweeps, each on the residual recomputed from the sum of the
+        previous ones, until the backward error reaches MG_BACKWARD_TOL; one
+        sweep leaves an error in the smoothest modes that the backward error
+        barely sees.  The right-hand side loses the multiplier's share
+        (k.b / k.c) c, as in the bordered system."""
+        a, c, k = self.a_red, self.c_red, self.k_red
+        b = b_red - (float(k @ b_red) / float(k @ c)) * c
+        x, self.iterations = np.zeros_like(b), 0
+        for _ in range(MG_MAX_SWEEPS):
+            if self.backward_error(x, b) <= MG_BACKWARD_TOL:
+                break
+            dx, iters, _ = _kernels.pcg(a, self._vcycle, b - a @ x, c, k, MG_SWEEP_TOL,
+                                        MG_SWEEP_MAXITER)
+            x += dx
+            self.iterations += iters
+        return x - (float(c @ x) / float(c @ k)) * k
+
+
 def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
                       maxiter=None, method="auto"):
     """Solve A x = b subject to the constraint set.
 
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
     exactly and c.x = 0.  The default ``method="auto"`` factors the bordered
-    system with a sparse LU and reports the achieved reduced relative
-    residual off the mean functional, where the Lagrange multiplier lives;
-    above DIRECT_RESIDUAL_TOL the system is numerically singular and
-    SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
+    system with a sparse LU (``"splu"``), or, from MG_MIN_UNKNOWNS reduced
+    unknowns of a constraint set with refinement levels, runs multigrid CG
+    (``"mg-cg"``).  It reports the achieved reduced relative residual off the
+    mean functional, where the Lagrange multiplier lives, and the normwise
+    backward error; above DIRECT_RESIDUAL_TOL the system is numerically
+    singular and SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
     ``method="cg"``, the projected conjugate-gradient iteration, which
     raises NoConvergenceError when it does not reach ``tol``.
     """
@@ -301,7 +414,11 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
         raise DimensionMismatchError(f"rhs length {b.shape} against matrix dimension {a.n}")
     if method not in ("auto", "cg"):
         raise InvalidArgumentError(f"unknown method {method!r}")
-    red = (FactorizedConstrainedSolver if method == "auto" else ReducedSystem)(a, cs)
+    if method == "auto":
+        mg = cs.levels and cs.kernel is not None and cs.n - cs.elim_index.size >= MG_MIN_UNKNOWNS
+        method = "mg-cg" if mg else "splu"
+    red = {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
+           "cg": ReducedSystem}[method](a, cs)
     b_red = red.reduce_rhs(b)
     bnorm = np.linalg.norm(b_red)
     if red.k_red is not None and bnorm > 0:
@@ -320,9 +437,10 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
         r -= red.c_red * ((red.c_red @ r) / (red.c_red @ red.c_red))
     res = float(np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0))
     if not res <= DIRECT_RESIDUAL_TOL:
-        raise SingularSystemError(f"constrained system is numerically singular: direct solve "
+        raise SingularSystemError(f"constrained system is numerically singular: {method} solve "
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
-    return ConstrainedSolution(red.expand(x_red), 0, res, "splu")
+    return ConstrainedSolution(red.expand(x_red), red.iterations, res, method,
+                               red.backward_error(x_red, b_red))
 
 
 def _solve_cg(red, b_red, tol, maxiter):
@@ -345,7 +463,8 @@ def _solve_cg(red, b_red, tol, maxiter):
     if red.c_red is not None:
         # final oblique projection onto {c.x = 0} along the kernel direction
         x_red = x_red - (float(red.c_red @ x_red) / float(red.c_red @ red.k_red)) * red.k_red
-    return ConstrainedSolution(red.expand(x_red), int(iters), float(relres), "cg")
+    return ConstrainedSolution(red.expand(x_red), int(iters), float(relres), "cg",
+                               red.backward_error(x_red, b_red))
 
 
 def eig_dense_generalized(a, m, k):

@@ -40,12 +40,18 @@ class Mesh:
     surface_nodes : (ns,) int array
         Bulk vertex indices along the boundary, in cycle order.  Entry ``i``
         is the bulk index of surface node ``i`` (the trace map).
+    parent : Mesh or None
+        The mesh this one refines (set by refinement only).
+    midpoint_ends : (nv - parent.nv, 2) int array or None
+        The two parent vertices whose midpoint each new vertex is.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     surface_nodes: np.ndarray
     _measures: Measures = field(init=False, repr=False, compare=False)
+    parent: "Mesh | None" = field(default=None, repr=False, compare=False)
+    midpoint_ends: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -249,6 +255,7 @@ def _refine(mesh: Mesh) -> Mesh:
 
     Edge midpoints are numbered after the old vertices in the order their
     edges first occur, triangle by triangle and side (0,1), (1,2), (2,0).
+    Surface node ``i`` becomes ``2i``; the midpoint after it is ``2i + 1``.
     """
     nv, nt = mesh.n_vertices, mesh.n_triangles
     keys = _edge_keys(mesh.triangles, nv).reshape(-1)
@@ -271,7 +278,8 @@ def _refine(mesh: Mesh) -> Mesh:
                         axis=1).reshape(-1, 3)
     new_surface = np.column_stack(
         [mesh.surface_nodes, number[np.searchsorted(edges, surface_keys)]]).reshape(-1)
-    return Mesh(np.concatenate([mesh.vertices, points]), new_tris, new_surface)
+    return Mesh(np.concatenate([mesh.vertices, points]), new_tris, new_surface,
+                parent=mesh, midpoint_ends=np.column_stack([lo, hi]))
 
 
 # ---------------------------------------------------------------------------

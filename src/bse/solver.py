@@ -40,7 +40,8 @@ class SolveReport:
     ``defect_compat`` is the compatibility defect of the sources before any
     projection, ``defect_compat_post`` after; ``defect_mean`` is |c.x| of
     the returned solution; ``method`` names the constrained-solve path
-    (``"splu"`` by default); ``forms`` are the basic forms the solve
+    (``"splu"`` or ``"mg-cg"``); ``backward_error`` is the normwise
+    backward error of the reduced system; ``forms`` are the basic forms the solve
     assembled, for norms of the result.  For fourth-order solves
     ``intermediate`` holds the auxiliary pair produced by the first stage.
     """
@@ -52,6 +53,7 @@ class SolveReport:
     defect_compat_post: float
     defect_mean: float
     method: str
+    backward_error: float
     forms: BasicForms
     intermediate: CoupledField | None = None
 
@@ -101,7 +103,7 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     return SolveReport(field=CoupledField.from_vector(mesh, sol.x),
                        iterations=sol.iterations, residual=sol.residual,
                        defect_compat=pre, defect_compat_post=post, defect_mean=dmean,
-                       method=sol.method, forms=forms)
+                       method=sol.method, backward_error=sol.backward_error, forms=forms)
 
 
 def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
@@ -130,6 +132,7 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
                        residual=max(sol1.residual, sol2.residual),
                        defect_compat=pre, defect_compat_post=post,
                        defect_mean=max(dmean1, dmean2), method=sol2.method,
+                       backward_error=max(sol1.backward_error, sol2.backward_error),
                        forms=forms, intermediate=mu)
 
 

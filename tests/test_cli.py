@@ -97,6 +97,23 @@ def test_run_solve4_reports_intermediate(tmp_path):
     assert summary["method"] == "splu"
 
 
+@pytest.mark.parametrize("task", ["solve2", "solve4"])
+@pytest.mark.parametrize("refine,method,iterations", [(1, "splu", (0, 0)), (4, "mg-cg", (1, 60))])
+def test_solve_reports_method_and_backward_error(tmp_path, task, refine, method, iterations):
+    cfg = write_config(tmp_path, "mg.json", {
+        "geometry": {"type": "disk", "n_boundary": 64, "refine": refine},
+        "params": {"K": 0.0, "L": 1.0}, "task": task,
+        "sources": {"f": "1 - x*x", "g": "y", "strict_compat": False},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.run(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["method"] == method
+    assert iterations[0] <= summary["iterations"] <= iterations[1]
+    assert summary["backward_error"] <= 1e-15
+    assert summary["residual"] <= 1e-6
+
+
 def test_strict_incompatible_exits_2(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "bad.json", {
@@ -399,6 +416,31 @@ def test_malformed_config_writes_error_json(tmp_path, bad, name):
     err = json.loads(lines[0])
     assert err["kind"] == "invalid-argument"
     assert name in err["message"]
+
+
+_INT_KEYS = [("geometry", "n_boundary", "eig2"), ("geometry", "refine", "eig2"),
+             ("geometry", "n_per_side", "eig2"), ("eig", "k", "eig2"),
+             ("oracle", "m_max", "oracle")]
+_FLOAT_KEYS = [("params", key, "oracle") for key in ("K", "L", "alpha", "beta", "gamma")]
+_FLOAT_KEYS.append(("oracle", "lambda_max", "oracle"))
+
+
+@pytest.mark.parametrize("section,key,task,value",
+                         [(*k, v) for k in _INT_KEYS for v in (1.7, 2.0, True, "2", None)]
+                         + [(*k, v) for k in _FLOAT_KEYS for v in (True, False, "2", None, [1.0])],
+                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_config_values_are_not_coerced(tmp_path, section, key, task, value):
+    # integer keys take JSON integers only, float keys finite JSON numbers:
+    # 1.7 and true used to run as refine 1, "2" as refine 2
+    geometry = {"type": "square" if key == "n_per_side" else "disk", "n_boundary": 16}
+    cfg = {"task": task, "geometry": geometry, "eig": {"k": 2},
+           "oracle": {"m_max": 1, "lambda_max": 5.0}, "output": {"dir": str(tmp_path / "out")}}
+    cfg.setdefault(section, {})[key] = value
+    assert cli.run(write_config(tmp_path, "cfg.json", cfg)) == 2
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert f"{section}.{key} must be" in err["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("task blew up\nsecond line"),

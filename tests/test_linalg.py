@@ -369,3 +369,105 @@ def test_permuted_solver_block_matches_single_solves():
 def test_constraint_points_validation(points):
     with pytest.raises(InvalidArgumentError, match="points"):
         ConstraintSet(n=3, points=points, mean_vector=np.ones(3), kernel=np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# Multigrid CG over the refinement hierarchy
+# ---------------------------------------------------------------------------
+
+def _disk_system(refine, k_like, alpha, gamma):
+    """Coupled matrix, constraint set and load of smooth non-radial sources on
+    the n_boundary = 64 disk."""
+    msh = mesh.generate_disk(64, refine)
+    forms = assembly.assemble_basic(msh)
+    x, y = msh.vertices.T
+    s = msh.surface_nodes
+    f, g = assembly.project_compatible(forms, np.cos(2.0 * x) + y ** 2 - 0.3 * x * y,
+                                       0.5 + x[s] - 0.4 * y[s] ** 3, alpha)
+    return (assembly.assemble_coupled(forms, k_like, alpha, gamma),
+            assembly.build_constraints(forms, k_like, alpha, 1.0),
+            assembly.assemble_load(forms, f, g))
+
+
+def _reduced_backward_error(a, cs, b, x):
+    """Normwise infinity-norm backward error of x on the reduced system."""
+    red = linalg.ReducedSystem(a, cs)
+    y, b_red = x[cs.retained()], red.reduce_rhs(b)
+    norm_a = np.max(abs(red.a_red) @ np.ones(red.n_red))
+    return np.max(np.abs(b_red - red.a_red @ y)) / (norm_a * np.max(np.abs(y))
+                                                     + np.max(np.abs(b_red)))
+
+
+def _rel_inf(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k_like", (0.0, 1.0))
+@pytest.mark.parametrize("alpha,gamma", ((1.0, 1.0), (1.5, 0.3)))
+def test_multigrid_matches_the_bordered_direct_solve(default_order_solve, k_like, alpha, gamma):
+    # refine 3 (11k unknowns) runs the multigrid solver directly, refine 4
+    # (42k) reaches it through the dispatch of solve_constrained
+    a, cs, b = _disk_system(3, k_like, alpha, gamma)
+    assert cs.n - cs.elim_index.size < linalg.MG_MIN_UNKNOWNS
+    mg = linalg.MultigridConstrainedSolver(a, cs)
+    x3 = mg.expand(mg.solve_reduced(mg.reduce_rhs(b)))
+    assert _rel_inf(x3, default_order_solve(a, b, cs)[0]) <= 1e-12
+    assert _reduced_backward_error(a, cs, b, x3) <= 1e-15
+    assert abs(cs.mean_vector @ x3) <= 1e-12 * (np.abs(cs.mean_vector) @ np.abs(x3))
+
+    a, cs, b = _disk_system(4, k_like, alpha, gamma)
+    sol = linalg.solve_constrained(a, b, cs)
+    assert sol.method == "mg-cg"
+    assert _rel_inf(sol.x, default_order_solve(a, b, cs)[0]) <= 1e-12
+    eta = _reduced_backward_error(a, cs, b, sol.x)
+    assert eta <= 1e-15
+    assert sol.backward_error == pytest.approx(eta, rel=1e-6)
+    # the V-cycle keeps the iteration count flat under refinement
+    assert abs(sol.iterations - mg.iterations) <= 3
+
+
+def test_smaller_or_unrefined_systems_keep_the_direct_solve(splu_calls):
+    for msh in (mesh.generate_disk(64, 3), mesh.generate_square(150)):
+        forms = assembly.assemble_basic(msh)
+        a = assembly.assemble_coupled(forms, 1.0, 1.0)
+        cs = assembly.build_constraints(forms, 1.0, 1.0, 1.0)
+        b = assembly.assemble_load(forms, np.ones(msh.n_vertices), -np.ones(msh.n_surface)
+                                   * assembly.measures(msh).area / assembly.measures(msh).perimeter)
+        assert linalg.solve_constrained(a, b, cs).method == "splu"
+    assert len(splu_calls) == 2
+
+
+def test_multigrid_at_large_k_solves_what_superlu_solves():
+    # with K = 1e5 the first CG sweep stalls near the roundoff floor of its
+    # residual; a restart on the recomputed residual finishes the solve
+    a, cs, b = _disk_system(4, 1e5, 1.0, 1.0)
+    sol = linalg.solve_constrained(a, b, cs)
+    assert sol.method == "mg-cg"
+    assert sol.residual <= linalg.DIRECT_RESIDUAL_TOL
+    assert _reduced_backward_error(a, cs, b, sol.x) <= 1e-15
+
+
+def test_multigrid_on_a_numerically_singular_system_raises():
+    # K = 1e12 decouples bulk and surface in roundoff; the capped iteration
+    # ends instead of running on
+    a, cs, b = _disk_system(4, 1e12, 1.0, 1.0)
+    with pytest.raises(SingularSystemError, match="mg-cg"):
+        linalg.solve_constrained(a, b, cs)
+
+
+def test_levels_must_chain_to_the_system_size():
+    msh = mesh.generate_disk(16, 2)
+    forms = assembly.assemble_basic(msh)
+    cs = assembly.build_constraints(forms, 1.0, 1.0, 1.0)
+    (nb0, ns0, e0), (nb1, ns1, e1) = cs.levels
+    fields = dict(n=cs.n, points=cs.points, mean_vector=cs.mean_vector, kernel=cs.kernel)
+    ConstraintSet(**fields, levels=cs.levels)
+    ConstraintSet(**fields, levels=cs.levels[1:])  # a shorter hierarchy chains too
+    for levels in (cs.levels[:1], ((nb0, ns0, e0), (nb1 + 1, ns1, e1)),
+                   ((nb0, ns0, e0), (nb1, ns1, e1[:-1])), ((nb0, ns0, e0), (nb1, ns1, e1[:, :1])),
+                   ((nb0, ns0, e0), (nb1, ns1, e1 + nb1))):
+        with pytest.raises(InvalidArgumentError, match="refinement levels"):
+            ConstraintSet(**fields, levels=levels)
+    with pytest.raises(InvalidArgumentError, match="refinement levels"):
+        linalg.MultigridConstrainedSolver(assembly.assemble_coupled(forms, 1.0, 1.0),
+                                          ConstraintSet(**fields))

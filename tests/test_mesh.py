@@ -188,6 +188,27 @@ def test_refine_matches_dict_refine(dict_refine, r):
         assert getattr(got, name).dtype == getattr(expected, name).dtype
 
 
+def test_refinement_keeps_its_hierarchy():
+    fine = mesh.generate_disk(16, 2)
+    coarse = fine.parent
+    assert coarse.parent.parent is None and coarse.parent.midpoint_ends is None
+    nv = coarse.n_vertices
+    lo, hi = fine.midpoint_ends.T
+    assert fine.midpoint_ends.shape == (fine.n_vertices - nv, 2)
+    np.testing.assert_array_equal(fine.vertices[:nv], coarse.vertices)
+    # interior midpoints sit halfway; boundary ones are projected onto the circle
+    boundary = np.isin(np.arange(nv, fine.n_vertices), fine.surface_nodes)
+    mid = 0.5 * (coarse.vertices[lo] + coarse.vertices[hi])
+    np.testing.assert_allclose(fine.vertices[nv:][~boundary], mid[~boundary], rtol=0, atol=1e-15)
+    # surface node i becomes 2i; 2i + 1 is the midpoint of the edge after it
+    s = coarse.surface_nodes
+    np.testing.assert_array_equal(fine.surface_nodes[0::2], s)
+    ends = fine.midpoint_ends[fine.surface_nodes[1::2] - nv]
+    np.testing.assert_array_equal(np.sort(ends, axis=1),
+                                  np.sort(np.column_stack([s, np.roll(s, -1)]), axis=1))
+    assert mesh.generate_square(4).parent is None
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_generate_square_matches_loop_generator(loop_square, n):
     expected = loop_square(n)

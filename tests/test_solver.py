@@ -272,8 +272,7 @@ def test_solves_match_dense_oracle(k_like, dense_bordered_solve):
 
 
 def test_refine4_robin_solve_terminates():
-    # 42.5k unknowns, K = 1, radial source c0 - c1 r^2 and constant g: the
-    # projected CG levels off near 2e-12 here and never reaches its target
+    # 42.5k unknowns, K = 1, radial source c0 - c1 r^2 and constant g
     m = mesh.generate_disk(64, 4)
     p = ProblemParams(K=1.0)
     r2 = np.sum(m.vertices ** 2, axis=1)
@@ -290,7 +289,7 @@ def test_refine4_robin_solve_terminates():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    assert rep.method == "splu"
+    assert rep.method == "mg-cg"
 
     forms = assembly.assemble_basic(m)
     f, g = assembly.project_compatible(forms, f, g, p.alpha)
