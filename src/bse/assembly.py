@@ -197,33 +197,41 @@ def kernel_pair(forms: BasicForms, alpha_like: float) -> np.ndarray:
     return np.concatenate([np.full(forms.n_bulk, alpha_like), np.ones(forms.n_surf)])
 
 
+def _constraint_set(msh, k_like, alpha_like, **kwargs) -> ConstraintSet:
+    """Constraints on the bulk vertices and then surface nodes of a mesh: with
+    K = 0 each boundary bulk vertex is eliminated as alpha_like times its
+    surface node.  A surface node sits at its bulk vertex; the coordinates
+    order the sparse LU."""
+    nb, ns = msh.n_vertices, msh.n_surface
+    points = msh.vertices[np.concatenate([np.arange(nb), msh.surface_nodes])]
+    if k_like == 0:
+        kwargs.update(elim_index=msh.surface_nodes.astype(np.int64),
+                      elim_target=nb + np.arange(ns, dtype=np.int64),
+                      elim_weight=np.full(ns, float(alpha_like)))
+    return ConstraintSet(n=nb + ns, points=points, **kwargs)
+
+
 def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
                       mean_like: float) -> ConstraintSet:
-    """Trace elimination (K = 0) and the mean-constraint functional.
+    """Trace elimination (K = 0), the mean-constraint functional and, for a
+    refined mesh, the prolongations between the retained unknowns of its
+    refinement levels (finest first) for multigrid.
 
     The mean constraint is c.(u, v) = mean_like * int(u) + int(v) = 0; its
     pairing with the kernel must stay away from zero (``check_mean_pairing``).
     """
     check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
     levels, msh = [], forms.mesh
-    while msh.parent is not None:  # the refinement hierarchy, for multigrid
-        levels.insert(0, (msh.parent.n_vertices, msh.parent.n_surface, msh.midpoint_ends))
+    while msh.parent is not None:
+        p = msh.prolongation
+        if k_like == 0:  # P[retained] R_coarse: a midpoint's ends are eliminated alike
+            p = (p[_constraint_set(msh, 0, alpha_like).retained()]
+                 @ _constraint_set(msh.parent, 0, alpha_like).reduction_matrix()).tocsr()
+        levels.append(p)
         msh = msh.parent
-    nb = forms.n_bulk
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
-    # a surface node sits at its bulk vertex; the coordinates order the sparse LU
-    points = forms.mesh.vertices[np.concatenate([np.arange(nb), forms.trace_indices])]
-    if k_like == 0:
-        elim = forms.trace_indices.astype(np.int64)
-        target = nb + np.arange(forms.n_surf, dtype=np.int64)
-        weight = np.full(forms.n_surf, float(alpha_like))
-        return ConstraintSet(n=forms.n_total, elim_index=elim, elim_target=target,
-                             elim_weight=weight, mean_vector=cvec,
-                             kernel=kernel_pair(forms, alpha_like), points=points,
-                             levels=tuple(levels))
-    return ConstraintSet(n=forms.n_total, mean_vector=cvec,
-                         kernel=kernel_pair(forms, alpha_like), points=points,
-                         levels=tuple(levels))
+    return _constraint_set(forms.mesh, k_like, alpha_like, mean_vector=cvec,
+                           kernel=kernel_pair(forms, alpha_like), levels=tuple(levels))
 
 
 def assemble_load(forms: BasicForms, f, g) -> np.ndarray:

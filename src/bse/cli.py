@@ -130,14 +130,13 @@ def _value(sec, name, key, default, kind):
     """``sec[key]`` (``default`` when absent) as ``kind``: a JSON integer for
     int, a finite JSON number for float.  Anything else, a boolean or a
     string included, is a validation error naming ``name.key``."""
-    import math
-
     from .errors import InvalidArgumentError
 
     value = sec.get(key, default)
     if kind is int and type(value) is int:
         return value
-    if kind is float and type(value) in (int, float) and math.isfinite(value):
+    # compared exactly: NaN, infinities and integers beyond the float range fail
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     raise InvalidArgumentError(f"{name}.{key} must be "
                                f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")

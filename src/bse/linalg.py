@@ -37,8 +37,14 @@ DIRECT_RESIDUAL_TOL = 1e-6
 # reduced unknowns from which a system with refinement levels is solved by
 # multigrid CG: the n_boundary = 64 disk has 11k at refine 3 and 42k at refine 4
 MG_MIN_UNKNOWNS = 20000
-MG_OMEGA, MG_SMOOTHING = 0.6, 2  # damped Jacobi: weight; steps before and after
-MG_SWEEP_TOL = 1e-6  # relative residual at which each CG sweep stops
+# most unknowns of the coarsest level, whose dense pseudo-inverse takes 0.01 s
+# at 257 (n_boundary = 64), 0.06 s at 529 and 0.22 s at 897 (n_boundary = 128)
+MG_MAX_COARSE = 600
+# damped Jacobi weight, smoothing steps before and after, and the relative
+# residual at which each CG sweep stops: weights 0.5-0.8, 1-3 steps and
+# 1e-4 to 1e-8 took 14-31 iterations at refine 4-5 and times within the
+# spread of repeats; these take 19-20
+MG_OMEGA, MG_SMOOTHING, MG_SWEEP_TOL = 0.6, 2, 1e-6
 MG_BACKWARD_TOL = 2e-16  # backward error at which the sweeps stop
 # caps: a sweep takes about 10 iterations; one that stalls near the roundoff
 # floor (K = 1e5) restarts, and a solve that does not converge ends as
@@ -136,12 +142,10 @@ class ConstraintSet:
     direction of the operator on the unconstrained space.  ``points`` are the
     (x, y) coordinates of the unknowns; they order the sparse LU.
 
-    ``levels`` is the refinement hierarchy of a mesh whose bulk vertices and
-    then surface nodes are the unknowns, coarsest mesh first: one
-    ``(n_bulk, n_surf, ends)`` per refinement, with the coarse mesh's sizes
-    and the two coarse vertices whose midpoint each new bulk vertex is.
-    Coarse vertices keep their numbers; coarse surface node i becomes node
-    2i, and node 2i + 1 is the midpoint after it.  Multigrid uses it.
+    ``levels`` are sparse prolongations between the retained unknowns of a
+    refinement hierarchy, finest first: the first maps onto this set's
+    retained unknowns, each next one onto the previous one's columns.
+    Multigrid uses them.
     """
 
     n: int
@@ -162,12 +166,8 @@ class ConstraintSet:
             raise InvalidArgumentError("mean-constraint vector must be nonzero")
         if np.shape(self.points) != (self.n, 2) or not np.all(np.isfinite(self.points)):
             raise InvalidArgumentError(f"points must be a finite ({self.n}, 2) array")
-        fine = [(nb + len(ends), 2 * ns) for nb, ns, ends in self.levels]
-        if self.levels and (fine[:-1] != [lv[:2] for lv in self.levels[1:]]
-                            or sum(fine[-1]) != self.n
-                            or any(np.shape(ends)[1:] != (2,) or np.size(ends) and not
-                                   (np.min(ends) >= 0 and np.max(ends) < nb)
-                                   for nb, _, ends in self.levels)):
+        rows = [self.n - elim.size] + [p.shape[1] for p in self.levels]
+        if [p.shape[0] for p in self.levels] != rows[:-1]:
             raise InvalidArgumentError(f"refinement levels do not chain to n={self.n}")
 
     @property
@@ -239,11 +239,12 @@ class ReducedSystem:
     def norm_inf(self):
         return float(np.max(abs(self.a_red) @ np.ones(self.n_red), initial=0.0))
 
-    def backward_error(self, x_red, b_red):
-        """Normwise backward error |b - A x| / (|A| |x| + |b|) of the reduced
-        system, in the infinity norm."""
+    def backward_error(self, x_red, b_red, r=None):
+        """Normwise backward error |r| / (|A| |x| + |b|) of the reduced
+        system, in the infinity norm, with the residual r = b - A x by default."""
+        r = b_red - self.a_red @ x_red if r is None else r
         denom = self.norm_inf * np.max(np.abs(x_red)) + np.max(np.abs(b_red))
-        return float(np.max(np.abs(b_red - self.a_red @ x_red)) / denom) if denom > 0 else 0.0
+        return float(np.max(np.abs(r)) / denom) if denom > 0 else 0.0
 
     def reduce_rhs(self, b):
         # right-hand sides and functionals transform by R^T
@@ -327,40 +328,20 @@ class FactorizedConstrainedSolver(ReducedSystem):
 class MultigridConstrainedSolver(ReducedSystem):
     """The reduced system with a geometric multigrid V-cycle over the
     constraint set's refinement ``levels`` (Hackbusch, *Multi-Grid Methods and
-    Applications*, 1985): nodal prolongations P (bulk midpoints and odd
-    surface nodes average their two ends), Galerkin coarse matrices P^T A P,
-    damped Jacobi smoothing and the pseudo-inverse of the coarsest matrix.
-    With an elimination the prolongation maps reduced to reduced unknowns,
-    P[retained] R_coarse: a midpoint's ends are eliminated alike."""
+    Applications*, 1985): Galerkin coarse matrices P^T A P of the given
+    prolongations P, damped Jacobi smoothing and the pseudo-inverse of the
+    coarsest matrix."""
 
     def __init__(self, a: CsrMatrix, cs: ConstraintSet):
         super().__init__(a, cs)
         if not cs.levels or self.k_red is None:
             raise InvalidArgumentError("multigrid needs refinement levels and a kernel direction")
         self._levels = []  # (A, omega / diag A, P, P^T), finest first
-        fine, elim = cs, (cs.elim_index, cs.elim_target, cs.elim_weight)
         a_l = self.a_red
-        for nb, ns, ends in reversed(cs.levels):
-            m, i, j = len(ends), np.arange(nb), np.arange(ns)
-            nbf = nb + m
-            mid, odd = nb + np.arange(m), nbf + 2 * j + 1
-            p = sp.csr_matrix((np.repeat([1.0, 0.5, 0.5, 1.0, 0.5, 0.5], [nb, m, m, ns, ns, ns]),
-                               (np.concatenate([i, mid, mid, nbf + 2 * j, odd, odd]),
-                                np.concatenate([i, ends[:, 0], ends[:, 1], nb + j, nb + j,
-                                                nb + (j + 1) % ns]))), shape=(fine.n, nb + ns))
-            # a coarse unknown is the fine one it injects to; an elimination
-            # pair is kept when both of its unknowns are coarse
-            inject = np.concatenate([i, nbf + 2 * j])
-            coarse_of = np.full(fine.n, -1)
-            coarse_of[inject] = np.arange(nb + ns)
-            keep = (coarse_of[elim[0]] >= 0) & (coarse_of[elim[1]] >= 0)
-            elim = (coarse_of[elim[0][keep]], coarse_of[elim[1][keep]], elim[2][keep])
-            coarse = ConstraintSet(nb + ns, fine.points[inject], *elim)
-            if cs.has_elimination:
-                p = (p[fine.retained()] @ coarse.reduction_matrix()).tocsr()
-            self._levels.append((a_l, MG_OMEGA / a_l.diagonal(), p, p.T.tocsr()))
-            a_l = (p.T @ a_l @ p).tocsr()
-            fine = coarse
+        for p in cs.levels:
+            pt = p.T.tocsr()
+            self._levels.append((a_l, MG_OMEGA / a_l.diagonal(), p, pt))
+            a_l = (pt @ a_l @ p).tocsr()
         self._pinv = np.linalg.pinv(a_l.toarray(), hermitian=True)
 
     def _vcycle(self, r, level=0):
@@ -377,18 +358,18 @@ class MultigridConstrainedSolver(ReducedSystem):
 
     def solve_reduced(self, b_red):
         """CG sweeps, each on the residual recomputed from the sum of the
-        previous ones, until the backward error reaches MG_BACKWARD_TOL; one
+        previous ones, until its backward error reaches MG_BACKWARD_TOL; one
         sweep leaves an error in the smoothest modes that the backward error
-        barely sees.  The right-hand side loses the multiplier's share
-        (k.b / k.c) c, as in the bordered system."""
+        barely sees.  Each residual loses the multiplier's share
+        (k.r / k.c) c, as in the bordered system."""
         a, c, k = self.a_red, self.c_red, self.k_red
-        b = b_red - (float(k @ b_red) / float(k @ c)) * c
-        x, self.iterations = np.zeros_like(b), 0
+        x, self.iterations = np.zeros_like(b_red), 0
         for _ in range(MG_MAX_SWEEPS):
-            if self.backward_error(x, b) <= MG_BACKWARD_TOL:
+            r = b_red - a @ x
+            r -= (float(k @ r) / float(k @ c)) * c
+            if self.backward_error(x, b_red, r) <= MG_BACKWARD_TOL:
                 break
-            dx, iters, _ = _kernels.pcg(a, self._vcycle, b - a @ x, c, k, MG_SWEEP_TOL,
-                                        MG_SWEEP_MAXITER)
+            dx, iters, _ = _kernels.pcg(a, self._vcycle, r, c, k, MG_SWEEP_TOL, MG_SWEEP_MAXITER)
             x += dx
             self.iterations += iters
         return x - (float(c @ x) / float(c @ k)) * k
@@ -401,11 +382,12 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
     exactly and c.x = 0.  The default ``method="auto"`` factors the bordered
     system with a sparse LU (``"splu"``), or, from MG_MIN_UNKNOWNS reduced
-    unknowns of a constraint set with refinement levels, runs multigrid CG
-    (``"mg-cg"``).  It reports the achieved reduced relative residual off the
-    mean functional, where the Lagrange multiplier lives, and the normwise
-    backward error; above DIRECT_RESIDUAL_TOL the system is numerically
-    singular and SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
+    unknowns of a constraint set with refinement levels whose coarsest has
+    at most MG_MAX_COARSE, runs multigrid CG (``"mg-cg"``).  It reports the
+    achieved reduced relative residual off the mean functional, where the
+    Lagrange multiplier lives, and the normwise backward error; above
+    DIRECT_RESIDUAL_TOL the system is numerically singular and
+    SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
     ``method="cg"``, the projected conjugate-gradient iteration, which
     raises NoConvergenceError when it does not reach ``tol``.
     """
@@ -415,7 +397,8 @@ def solve_constrained(a: CsrMatrix, b, cs: ConstraintSet, tol=DEFAULT_TOL,
     if method not in ("auto", "cg"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "auto":
-        mg = cs.levels and cs.kernel is not None and cs.n - cs.elim_index.size >= MG_MIN_UNKNOWNS
+        mg = (cs.levels and cs.kernel is not None and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
+              and cs.levels[-1].shape[1] <= MG_MAX_COARSE)
         method = "mg-cg" if mg else "splu"
     red = {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
            "cg": ReducedSystem}[method](a, cs)

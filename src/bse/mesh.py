@@ -10,6 +10,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from .errors import InvalidArgumentError, InvariantViolationError, ParseError
@@ -42,8 +43,9 @@ class Mesh:
         is the bulk index of surface node ``i`` (the trace map).
     parent : Mesh or None
         The mesh this one refines (set by refinement only).
-    midpoint_ends : (nv - parent.nv, 2) int array or None
-        The two parent vertices whose midpoint each new vertex is.
+    prolongation : scipy.sparse CSR matrix or None
+        Nodal interpolation from the parent's bulk vertices and then surface
+        nodes to this mesh's: each new node averages the two it bisects.
     """
 
     vertices: np.ndarray
@@ -51,7 +53,7 @@ class Mesh:
     surface_nodes: np.ndarray
     _measures: Measures = field(init=False, repr=False, compare=False)
     parent: "Mesh | None" = field(default=None, repr=False, compare=False)
-    midpoint_ends: np.ndarray | None = field(default=None, repr=False, compare=False)
+    prolongation: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -278,8 +280,16 @@ def _refine(mesh: Mesh) -> Mesh:
                         axis=1).reshape(-1, 3)
     new_surface = np.column_stack(
         [mesh.surface_nodes, number[np.searchsorted(edges, surface_keys)]]).reshape(-1)
+    # prolongation rows: old vertices, midpoints, then surface nodes 2i and 2i + 1
+    ns, m, j = mesh.n_surface, len(ends), np.arange(mesh.n_surface)
+    counts = np.concatenate([np.ones(nv, dtype=np.int64), np.full(m, 2), np.tile([1, 2], ns)])
+    cols = np.concatenate([np.arange(nv), np.column_stack([lo, hi]).ravel(),
+                           nv + np.column_stack([j, j, (j + 1) % ns]).ravel()])
+    vals = np.concatenate([np.ones(nv), np.full(2 * m, 0.5), np.tile([1.0, 0.5, 0.5], ns)])
+    prolongation = sp.csr_matrix((vals, cols, np.concatenate([[0], np.cumsum(counts)])),
+                                 shape=(nv + m + 2 * ns, nv + ns))
     return Mesh(np.concatenate([mesh.vertices, points]), new_tris, new_surface,
-                parent=mesh, midpoint_ends=np.column_stack([lo, hi]))
+                parent=mesh, prolongation=prolongation)
 
 
 # ---------------------------------------------------------------------------

@@ -427,11 +427,13 @@ _FLOAT_KEYS.append(("oracle", "lambda_max", "oracle"))
 
 @pytest.mark.parametrize("section,key,task,value",
                          [(*k, v) for k in _INT_KEYS for v in (1.7, 2.0, True, "2", None)]
-                         + [(*k, v) for k in _FLOAT_KEYS for v in (True, False, "2", None, [1.0])],
-                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+                         + [(*k, v) for k in _FLOAT_KEYS
+                            for v in (True, False, "2", None, [1.0], float("nan"), 10 ** 400)],
+                         ids=lambda v: repr(v)[:12] if not isinstance(v, str) else v)
 def test_config_values_are_not_coerced(tmp_path, section, key, task, value):
     # integer keys take JSON integers only, float keys finite JSON numbers:
-    # 1.7 and true used to run as refine 1, "2" as refine 2
+    # 1.7 and true used to run as refine 1, "2" as refine 2; an integer
+    # beyond the float range is no finite number either
     geometry = {"type": "square" if key == "n_per_side" else "disk", "n_boundary": 16}
     cfg = {"task": task, "geometry": geometry, "eig": {"k": 2},
            "oracle": {"m_max": 1, "lambda_max": 5.0}, "output": {"dir": str(tmp_path / "out")}}

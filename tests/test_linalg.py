@@ -455,19 +455,47 @@ def test_multigrid_on_a_numerically_singular_system_raises():
         linalg.solve_constrained(a, b, cs)
 
 
-def test_levels_must_chain_to_the_system_size():
-    msh = mesh.generate_disk(16, 2)
+@pytest.mark.parametrize("k_like,bound", ((1e4, 1.2e-8), (1e5, 1.2e-7)))
+def test_multigrid_at_large_k_agrees_with_superlu(default_order_solve, k_like, bound):
+    # as for the refine-2 solve at K = 1e4: the 1-norm condition estimate of
+    # the refine-4 bordered matrix is 3.15e6 at K = 1, 1.94e10 at K = 1e4 and
+    # 1.94e11 at K = 1e5, so the K = 1 bound 2e-12 scales to 1.2e-8 and 1.2e-7
+    # (3.4e-9 and 2.0e-8 measured; SuperLU in nested-dissection order 6.1e-10
+    # and 1.2e-8)
+    a, cs, b = _disk_system(4, k_like, 1.0, 1.0)
+    sol = linalg.solve_constrained(a, b, cs)
+    assert sol.method == "mg-cg"
+    assert _rel_inf(sol.x, default_order_solve(a, b, cs)[0]) <= bound
+
+
+def test_large_coarsest_level_keeps_the_direct_solve(splu_calls):
+    # refine 1 of the n_boundary = 512 disk has 46k unknowns, but its
+    # coarsest level has 11.8k, whose dense pseudo-inverse would need 1.1 GB
+    msh = mesh.generate_disk(512, 1)
     forms = assembly.assemble_basic(msh)
     cs = assembly.build_constraints(forms, 1.0, 1.0, 1.0)
-    (nb0, ns0, e0), (nb1, ns1, e1) = cs.levels
-    fields = dict(n=cs.n, points=cs.points, mean_vector=cs.mean_vector, kernel=cs.kernel)
+    assert cs.n >= linalg.MG_MIN_UNKNOWNS and cs.levels[-1].shape[1] > linalg.MG_MAX_COARSE
+    m = assembly.measures(msh)
+    b = assembly.assemble_load(forms, np.ones(msh.n_vertices),
+                               -np.ones(msh.n_surface) * m.area / m.perimeter)
+    assert linalg.solve_constrained(assembly.assemble_coupled(forms, 1.0, 1.0), b, cs).method == "splu"
+    assert len(splu_calls) == 1
+
+
+@pytest.mark.parametrize("k_like", (0.0, 1.0))
+def test_levels_must_chain_to_the_system_size(k_like):
+    msh = mesh.generate_disk(16, 2)
+    forms = assembly.assemble_basic(msh)
+    cs = assembly.build_constraints(forms, k_like, 1.0, 1.0)
+    p0, p1 = cs.levels
+    assert p0.shape == (cs.n - cs.elim_index.size, p1.shape[0])
+    fields = dict(n=cs.n, points=cs.points, elim_index=cs.elim_index, elim_target=cs.elim_target,
+                  elim_weight=cs.elim_weight, mean_vector=cs.mean_vector, kernel=cs.kernel)
     ConstraintSet(**fields, levels=cs.levels)
-    ConstraintSet(**fields, levels=cs.levels[1:])  # a shorter hierarchy chains too
-    for levels in (cs.levels[:1], ((nb0, ns0, e0), (nb1 + 1, ns1, e1)),
-                   ((nb0, ns0, e0), (nb1, ns1, e1[:-1])), ((nb0, ns0, e0), (nb1, ns1, e1[:, :1])),
-                   ((nb0, ns0, e0), (nb1, ns1, e1 + nb1))):
+    ConstraintSet(**fields, levels=cs.levels[:1])  # a shorter hierarchy chains too
+    for levels in (cs.levels[1:], (p0, p0), (p0[:-1], p1), (p0, p1[:-1])):
         with pytest.raises(InvalidArgumentError, match="refinement levels"):
             ConstraintSet(**fields, levels=levels)
     with pytest.raises(InvalidArgumentError, match="refinement levels"):
-        linalg.MultigridConstrainedSolver(assembly.assemble_coupled(forms, 1.0, 1.0),
+        linalg.MultigridConstrainedSolver(assembly.assemble_coupled(forms, k_like, 1.0),
                                           ConstraintSet(**fields))

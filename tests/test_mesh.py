@@ -191,21 +191,27 @@ def test_refine_matches_dict_refine(dict_refine, r):
 def test_refinement_keeps_its_hierarchy():
     fine = mesh.generate_disk(16, 2)
     coarse = fine.parent
-    assert coarse.parent.parent is None and coarse.parent.midpoint_ends is None
-    nv = coarse.n_vertices
-    lo, hi = fine.midpoint_ends.T
-    assert fine.midpoint_ends.shape == (fine.n_vertices - nv, 2)
-    np.testing.assert_array_equal(fine.vertices[:nv], coarse.vertices)
-    # interior midpoints sit halfway; boundary ones are projected onto the circle
-    boundary = np.isin(np.arange(nv, fine.n_vertices), fine.surface_nodes)
-    mid = 0.5 * (coarse.vertices[lo] + coarse.vertices[hi])
-    np.testing.assert_allclose(fine.vertices[nv:][~boundary], mid[~boundary], rtol=0, atol=1e-15)
-    # surface node i becomes 2i; 2i + 1 is the midpoint of the edge after it
-    s = coarse.surface_nodes
-    np.testing.assert_array_equal(fine.surface_nodes[0::2], s)
-    ends = fine.midpoint_ends[fine.surface_nodes[1::2] - nv]
-    np.testing.assert_array_equal(np.sort(ends, axis=1),
-                                  np.sort(np.column_stack([s, np.roll(s, -1)]), axis=1))
+    assert coarse.parent.parent is None and coarse.parent.prolongation is None
+    nv, ns, nvf = coarse.n_vertices, coarse.n_surface, fine.n_vertices
+    p = fine.prolongation
+    assert p.shape == (nvf + fine.n_surface, nv + ns)
+    np.testing.assert_array_equal(p.sum(axis=1), 1.0)
+    # old vertices keep their numbers; interior midpoints sit halfway between
+    # the two vertices they average, boundary ones are moved onto the circle
+    np.testing.assert_array_equal(p[:nv].toarray(), np.eye(nv, nv + ns))
+    assert p[:nvf, nv:].nnz == 0 and p[nvf:, :nv].nnz == 0
+    mid = p[:nvf, :nv] @ coarse.vertices
+    boundary = np.isin(np.arange(nvf), fine.surface_nodes)
+    np.testing.assert_allclose(fine.vertices[~boundary], mid[~boundary], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(fine.vertices[boundary],
+                               mid[boundary] / np.hypot(*mid[boundary].T)[:, None], atol=1e-15)
+    # surface node i becomes 2i; 2i + 1 averages nodes i and i + 1, and
+    # sits at the projected midpoint of their edge
+    np.testing.assert_array_equal(fine.surface_nodes[0::2], coarse.surface_nodes)
+    mid = p[nvf:, nv:] @ coarse.vertices[coarse.surface_nodes]
+    np.testing.assert_allclose(fine.vertices[fine.surface_nodes],
+                               mid / np.hypot(*mid.T)[:, None], rtol=0, atol=1e-15)
+    assert np.all(np.diff(p[nvf:].indptr) == np.tile([1, 2], ns))
     assert mesh.generate_square(4).parent is None
 
 
