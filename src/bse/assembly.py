@@ -103,10 +103,10 @@ class BasicForms:
     """Mesh-only matrices: bulk/surface stiffness and consistent mass."""
 
     mesh: Mesh
-    a_bulk: CsrMatrix
-    m_bulk: CsrMatrix
-    a_surf: CsrMatrix
-    m_surf: CsrMatrix
+    a_bulk: sp.csr_matrix
+    m_bulk: sp.csr_matrix
+    a_surf: sp.csr_matrix
+    m_surf: sp.csr_matrix
 
     @property
     def n_bulk(self):
@@ -128,17 +128,16 @@ class BasicForms:
     @functools.cached_property
     def lumped_bulk(self):
         # row sums of the consistent mass; equals the P1 integral weights
-        return self.m_bulk.apply(np.ones(self.n_bulk))
+        return self.m_bulk @ np.ones(self.n_bulk)
 
     @functools.cached_property
     def lumped_surf(self):
-        return self.m_surf.apply(np.ones(self.n_surf))
+        return self.m_surf @ np.ones(self.n_surf)
 
     @functools.cached_property
     def block_mass(self):
         """blockdiag(M_bulk, M_surf) on the coupled index space."""
-        return _from_blocks(self.n_total, [[self.m_bulk.to_scipy(), None],
-                                           [None, self.m_surf.to_scipy()]])
+        return _from_blocks(self.n_total, [[self.m_bulk, None], [None, self.m_surf]])
 
 
 def _from_blocks(n, blocks):
@@ -167,7 +166,7 @@ def assemble_basic(mesh: Mesh) -> BasicForms:
 
 
 def assemble_coupled(forms: BasicForms, k_like: float, alpha_like: float,
-                     gamma: float = 1.0) -> CsrMatrix:
+                     gamma: float = 1.0) -> sp.csr_matrix:
     """Block matrix of the coupled energy form.
 
     [[A_bulk + s T' M_s T,  -alpha s T' M_s ],
@@ -178,18 +177,17 @@ def assemble_coupled(forms: BasicForms, k_like: float, alpha_like: float,
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
     s = sigma(k_like)
-    a_bulk = forms.a_bulk.to_scipy()
-    a_surf = gamma * forms.a_surf.to_scipy()
+    a_bulk, a_surf = forms.a_bulk, gamma * forms.a_surf
     if s == 0.0:
         return _from_blocks(forms.n_total, [[a_bulk, None], [None, a_surf]])
     # T selects the trace of a bulk field at the surface nodes
     ns = forms.n_surf
     t = sp.csr_matrix((np.ones(ns), (np.arange(ns), forms.trace_indices)),
                       shape=(ns, forms.n_bulk))
-    ms_t = forms.m_surf.to_scipy() @ t
+    ms_t = forms.m_surf @ t
     return _from_blocks(forms.n_total, [
         [a_bulk + s * (t.T @ ms_t), -alpha_like * s * ms_t.T],
-        [-alpha_like * s * ms_t, a_surf + alpha_like ** 2 * s * forms.m_surf.to_scipy()]])
+        [-alpha_like * s * ms_t, a_surf + alpha_like ** 2 * s * forms.m_surf]])
 
 
 def kernel_pair(forms: BasicForms, alpha_like: float) -> np.ndarray:
@@ -242,7 +240,7 @@ def assemble_load(forms: BasicForms, f, g) -> np.ndarray:
         raise DimensionMismatchError(
             f"source sizes ({f.shape}, {g.shape}) do not match mesh "
             f"({forms.n_bulk}, {forms.n_surf})")
-    return np.concatenate([forms.m_bulk.apply(f), forms.m_surf.apply(g)])
+    return np.concatenate([forms.m_bulk @ f, forms.m_surf @ g])
 
 
 def compatibility_defect(forms: BasicForms, f, g, alpha_like: float) -> float:

@@ -174,9 +174,8 @@ def _factored(forms, k_like, alpha_like, mean_like, gamma):
 def _energy_mass(mesh, params, mean_like, k):
     """Energy (K, alpha, gamma) against block mass, mean_like-mean constrained."""
     forms = assemble_basic(mesh)
-    mass = forms.block_mass.to_scipy()
     solver = _factored(forms, params.K, params.alpha, mean_like, params.gamma)
-    return _smallest(mesh, solver, lambda x: mass @ x, k)
+    return _smallest(mesh, solver, lambda x: forms.block_mass @ x, k)
 
 
 def eig_second(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
@@ -198,14 +197,13 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     B-orthonormal, the discrete dual-inner-product orthonormality.
     """
     forms = assemble_basic(mesh)
-    mass = forms.block_mass.to_scipy()
     outer = _factored(forms, params.K, params.alpha, params.beta, params.gamma)
     # with L = K and beta = alpha the (L, beta) system with alpha-mean
     # constraint is the outer system itself: one factorization serves both
     inner = outer
     if (params.L, params.beta) != (params.K, params.alpha):
         inner = _factored(forms, params.L, params.beta, params.alpha, params.gamma)
-    return _smallest(mesh, outer, lambda x: mass @ inner.solve(mass @ x), k)
+    return _smallest(mesh, outer, lambda x: forms.block_mass @ inner.solve(forms.block_mass @ x), k)
 
 
 def poincare_constant(mesh: Mesh, params: ProblemParams, return_result=False):
@@ -237,8 +235,7 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     red = ReducedSystem(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
     q = sla.null_space(red.c_red[None, :])
     a_qq = q.T @ (red.a_red @ q)
-    h1 = sp.bmat([[forms.a_bulk.to_scipy() + forms.m_bulk.to_scipy(), None],
-                  [None, forms.a_surf.to_scipy() + forms.m_surf.to_scipy()]]).tocsr()
+    h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")
     h1_qq = q.T @ red.reduce_rhs(h1 @ red.expand(q))
     try:
         lo, vlo = eig_dense_generalized(h1_qq, a_qq, 1)

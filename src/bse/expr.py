@@ -24,6 +24,7 @@ _PREC_MUL = 20
 _PREC_NEG = 30
 _PREC_POW = 40
 _BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
+MAX_NESTING = 100  # of operators and calls, and of parentheses; <= 2 stack frames a level
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,25 @@ class _Parser:
         raise ParseError(f"expected {expected}, got {got}", offset=offset)
 
     def parse(self):
-        e = self.expression(0)
+        depth = 0
+        for _, value, offset in self.tokens:  # parentheses, checked before they recurse
+            depth += (value == "(") - (value == ")")
+            self.nest(depth, offset)
+        e, _ = self.expression(0, 1)
         if self.peek()[0] != "end":
             self.fail("operator or end of input")
         return e
 
-    def expression(self, min_prec):
-        left = self.prefix()
+    def nest(self, level, offset):
+        if level > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", offset=offset)
+        return level
+
+    def expression(self, min_prec, level):
+        """The tree rooted at nesting ``level`` and its deepest level; parentheses add none."""
+        left, reach = self.prefix(self.nest(level, self.peek()[2]))
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind != "op" or value not in "+-*/^":
                 break
             prec = _BIN_PREC[value]
@@ -117,25 +128,26 @@ class _Parser:
                 break
             self.advance()
             # right-associative ^ re-enters at its own level
-            right = self.expression(prec if value == "^" else prec + 1)
-            left = Bin(value, left, right)
-        return left
+            right, right_reach = self.expression(prec if value == "^" else prec + 1, level + 1)
+            left, reach = Bin(value, left, right), self.nest(max(reach + 1, right_reach), offset)
+        return left, reach
 
-    def prefix(self):
+    def prefix(self, level):
         kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.expression(_PREC_NEG))
+            e, reach = self.expression(_PREC_NEG, level + 1)
+            return Neg(e), reach
         if kind == "op" and value == "(":
             self.advance()
-            e = self.expression(0)
+            e = self.expression(0, level)
             if self.peek()[:2] != ("op", ")"):
                 self.fail("')' to close parenthesis")
             self.advance()
             return e
         if kind == "num":
             self.advance()
-            return Num(value)
+            return Num(value), level
         if kind == "ident":
             self.advance()
             if self.peek()[:2] == ("op", "("):
@@ -144,16 +156,16 @@ class _Parser:
                         f"unknown function {value!r} (expected one of {', '.join(FUNCTIONS)})",
                         offset=offset)
                 self.advance()
-                arg = self.expression(0)
+                arg, reach = self.expression(0, level + 1)
                 if self.peek()[:2] != ("op", ")"):
                     self.fail("')' to close function call")
                 self.advance()
-                return Call(value, arg)
+                return Call(value, arg), reach
             if value not in VARIABLES and value not in CONSTANTS:
                 raise ParseError(
                     f"unknown name {value!r} (expected one of "
                     f"{', '.join(VARIABLES + tuple(CONSTANTS))})", offset=offset)
-            return Name(value)
+            return Name(value), level
         self.fail("number, name, '(' or '-'")
 
 

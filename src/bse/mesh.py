@@ -344,8 +344,8 @@ def read_mesh(path) -> Mesh:
             count = int(parts[1])
         except ValueError:
             count = -1
-        if count < 0:
-            raise ParseError(f"bad count in '{name}' section", line=ln)
+        if not 0 <= count <= len(lines) - pos:  # checked before the section is allocated
+            raise ParseError(f"bad count in '{name}' section: {len(lines) - pos} lines left", line=ln)
         return count
 
     nv = section("vertices")
@@ -381,4 +381,6 @@ def read_mesh(path) -> Mesh:
         except ValueError:
             raise ParseError("bad index in surface line", line=ln) from None
 
+    if any(text.strip() for text in lines[pos:]):
+        raise ParseError("unexpected content after the surface section", line=next_line()[1])
     return Mesh(vertices, triangles, surface)

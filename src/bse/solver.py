@@ -146,7 +146,7 @@ def inner_ka(forms: BasicForms, params: ProblemParams, a: CoupledField,
     a.check_mesh(forms.mesh)
     b.check_mesh(forms.mesh)
     mat = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    return float(a.to_vector() @ mat.apply(b.to_vector()))
+    return float(a.to_vector() @ (mat @ b.to_vector()))
 
 
 def norm_ka(forms: BasicForms, params: ProblemParams, a: CoupledField) -> float:
@@ -159,7 +159,7 @@ def inner_h0(forms: BasicForms, a: CoupledField, b: CoupledField) -> float:
     """Product-L2 inner product via the consistent block mass matrix."""
     a.check_mesh(forms.mesh)
     b.check_mesh(forms.mesh)
-    return float(a.to_vector() @ forms.block_mass.apply(b.to_vector()))
+    return float(a.to_vector() @ (forms.block_mass @ b.to_vector()))
 
 
 def norm_h0(forms: BasicForms, a: CoupledField) -> float:
@@ -177,7 +177,7 @@ def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     for f, g in (fg1, fg2):
         sol, _, _, _ = _solve_system(forms, mat, cs, params.beta, f, g, strict=True)
         s.append(sol.x)
-    return float(s[0] @ mat.apply(s[1]))
+    return float(s[0] @ (mat @ s[1]))
 
 
 def rescale_omega(field: CoupledField, omega: float) -> CoupledField:

@@ -19,7 +19,7 @@ def _dense_bordered_solve(a, b, cs):
     trace-elimination map (identity without elimination) and no border
     without a mean constraint.  ``b`` is a vector or a block of columns."""
     r = cs.reduction_matrix().toarray() if cs.has_elimination else np.eye(cs.n)
-    a_red = r.T @ a.to_dense() @ r
+    a_red = r.T @ a.toarray() @ r
     b_red = r.T @ np.asarray(b, dtype=np.float64)
     if cs.mean_vector is None:
         return r @ np.linalg.solve(a_red, b_red)
@@ -57,7 +57,7 @@ def _dense_constrained_eigs(a, b, cs, k):
     ``b`` is a dense full-space matrix."""
     r = cs.reduction_matrix().toarray() if cs.has_elimination else np.eye(cs.n)
     basis = r @ sla.null_space((r.T @ cs.mean_vector)[None, :])
-    a_nn = basis.T @ a.to_dense() @ basis
+    a_nn = basis.T @ a.toarray() @ basis
     b_nn = basis.T @ b @ basis
     return sla.eigh(a_nn, 0.5 * (b_nn + b_nn.T), eigvals_only=True,
                     subset_by_index=[0, k - 1])

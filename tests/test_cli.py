@@ -306,6 +306,40 @@ def test_oracle_task_and_geometry_file(tmp_path):
     assert cli.run(cfg2) == 0
 
 
+@pytest.mark.parametrize("text", [
+    "bse-mesh 1\nvertices 100000000000\n",
+    None,  # a valid mesh followed by a stray line
+], ids=["huge-count", "trailing-line"])
+def test_bad_mesh_file_is_a_parse_error(tmp_path, text):
+    from bse import mesh
+    path = tmp_path / "m.txt"
+    if text is None:
+        mesh.write_mesh(mesh.generate_disk(8, 0), path)
+        text = path.read_text() + "garbage here\n"
+    path.write_text(text)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "file.json", {
+        "geometry": {"type": "file", "path": str(path)}, "task": "solve2",
+        "sources": {"f": "1", "g": "-1"}, "output": {"dir": str(out)}})
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "parse-error"
+    assert "line" in err["message"]
+
+
+@pytest.mark.parametrize("f", ["(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_source_is_a_parse_error(tmp_path, f):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "deep.json", {
+        "geometry": {"type": "disk", "n_boundary": 8, "refine": 0}, "task": "solve2",
+        "sources": {"f": f, "g": "1"}, "output": {"dir": str(out)}})
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "parse-error"
+    assert "nests deeper" in err["message"]
+
+
 def test_main_mesh_and_oracle_subcommands(tmp_path):
     out = tmp_path / "mesh.txt"
     assert cli.main(["mesh", "--geometry", "disk", "--n", "16", "--refine", "1",

@@ -82,7 +82,7 @@ def test_gamma_scales_decoupled_surface_modes(small_disk):
     def surface_lams(res):
         out = []
         for lam, f in zip(res.eigenvalues, res.fields):
-            sv = f.v @ forms.m_surf.apply(f.v)
+            sv = f.v @ (forms.m_surf @ f.v)
             if sv > 0.5 * solver.inner_h0(forms, f, f):
                 out.append(lam)
         return out
@@ -129,7 +129,7 @@ def test_expansion_reconstructs_constrained_fields():
     recon = np.zeros(msh.n_vertices + msh.n_surface)
     yv = y.to_vector()
     for f in res.fields:
-        coeff = f.to_vector() @ mass.apply(yv)
+        coeff = f.to_vector() @ (mass @ yv)
         recon += coeff * f.to_vector()
     np.testing.assert_allclose(recon, yv, atol=1e-8 * max(1.0, np.abs(yv).max()))
 
@@ -145,7 +145,7 @@ def test_whole_spectrum_matches_dense_oracle(fourth, k_like, short, method,
     msh = mesh.generate_disk(8, 0)
     p = ProblemParams(K=k_like, L=2.0, alpha=1.5, beta=0.5)
     forms = assembly.assemble_basic(msh)
-    mass = forms.block_mass.to_dense()
+    mass = forms.block_mass.toarray()
     a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
     if fourth:
         cs = assembly.build_constraints(forms, p.K, p.alpha, p.beta)
@@ -205,8 +205,8 @@ def test_norm_equivalence(disk, k_like):
     forms = assembly.assemble_basic(disk)
 
     def h1_norm(x):
-        q = (x.u @ forms.a_bulk.apply(x.u) + x.u @ forms.m_bulk.apply(x.u)
-             + x.v @ forms.a_surf.apply(x.v) + x.v @ forms.m_surf.apply(x.v))
+        q = (x.u @ (forms.a_bulk @ x.u) + x.u @ (forms.m_bulk @ x.u)
+             + x.v @ (forms.a_surf @ x.v) + x.v @ (forms.m_surf @ x.v))
         return np.sqrt(max(q, 0.0))
 
     rng = np.random.default_rng(2)
@@ -265,7 +265,7 @@ def test_sparse_eigs_match_dense_oracle(disk, k_like, beta, dense_bordered_solve
     # beta = alpha with L = K: eig_fourth's two systems coincide
     p = ProblemParams(K=k_like, L=k_like if beta == 1.0 else 2.0, alpha=1.0, beta=beta)
     forms = assembly.assemble_basic(disk)
-    mass = forms.block_mass.to_dense()
+    mass = forms.block_mass.toarray()
     a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
     cs = assembly.build_constraints(forms, p.K, p.alpha, p.beta)
     # B = M A_L^+ M from dense constrained solves of the (L, beta) system

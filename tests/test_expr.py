@@ -63,6 +63,25 @@ def test_parse_errors_carry_offset():
         expr.parse("1 2")
 
 
+@pytest.mark.parametrize("deep,offset,shallow,value", [
+    ("(" * 2000 + "x" + ")" * 2000, expr.MAX_NESTING, "(" * 99 + "x" + ")" * 99, 2.0),
+    ("-" * 5000 + "x", expr.MAX_NESTING, "-" * 99 + "x", -2.0),
+    ("x" + "^x" * 2000, 2 * expr.MAX_NESTING, "x" + "^1" * 99, 2.0),
+    ("x" + "+x" * 2000, 2 * expr.MAX_NESTING - 1, "x" + "+x" * 99, 200.0),
+    # to_string parenthesizes each -x: the rendered text must parse again
+    ("x" + "^-x" * 2000, 3 * expr.MAX_NESTING // 2, "x" + "^-x" * 49, 0.641185744504986),
+], ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "power-minus-chain"])
+def test_nesting_beyond_the_bound_is_a_parse_error(deep, offset, shallow, value):
+    # the error names the offset where nesting passes MAX_NESTING; up to the
+    # bound the parser, the evaluator and the renderer all work, and the
+    # rendered text parses to the same tree
+    with pytest.raises(ParseError, match=rf"nests deeper .*\(offset {offset}\)"):
+        expr.parse(deep)
+    tree = expr.parse(shallow)
+    assert ev(shallow, 2.0) == value
+    assert expr.parse(expr.to_string(tree)) == tree
+
+
 def test_print_parse_print_fixed_point_on_corpus():
     corpus = ["2+3*4", "-2^2", "x^2+y^2", "sin(x)*cos(y)", "1/(x+2)",
               "-(x*y)", "2^-3", "a" and "x-y-1", "sqrt(abs(x))", "r^2+theta"]

@@ -145,6 +145,31 @@ def test_read_negative_count_reports_line(tmp_path, text, line):
         mesh.read_mesh(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("bse-mesh 1\nvertices 100000000000\n", 2),
+    ("bse-mesh 1\nvertices 0\ntriangles 3\n0 1 2\nsurface 0\n", 3),
+    ("bse-mesh 1\nvertices 0\ntriangles 0\nsurface 100000000000\n0\n", 4),
+], ids=["vertices", "triangles", "surface"])
+def test_read_count_beyond_file_reports_line(tmp_path, text, line):
+    # rejected on the count's line before the section is allocated
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"bad count .*lines left.*line {line}"):
+        mesh.read_mesh(path)
+
+
+def test_read_rejects_trailing_content(tmp_path):
+    path = tmp_path / "disk.txt"
+    mesh.write_mesh(mesh.generate_disk(8, 0), path)
+    text = path.read_text()
+    n_lines = len(text.splitlines())
+    path.write_text(text + "\n  \n")  # trailing blank lines are allowed
+    assert mesh.read_mesh(path).n_vertices == 9
+    path.write_text(text + "\n  \ngarbage here\n")
+    with pytest.raises(ParseError, match=f"after the surface section.*line {n_lines + 3}"):
+        mesh.read_mesh(path)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_aspect_ratio_bounded_across_refinement(n):
     base = mesh.triangle_aspect_ratios(mesh.generate_disk(n, 0)).max()

@@ -293,7 +293,7 @@ def test_refine4_robin_solve_terminates():
 
     forms = assembly.assemble_basic(m)
     f, g = assembly.project_compatible(forms, f, g, p.alpha)
-    a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma).to_scipy()
+    a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
     b = assembly.assemble_load(forms, f, g)
     x = rep.field.to_vector()
     # normwise backward error in the infinity norm
