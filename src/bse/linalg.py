@@ -7,8 +7,7 @@ Lagrange border, and the bordered system is factored once by a sparse LU
 (SuperLU) in a nested-dissection order computed from the coordinates of the
 unknowns.  Large systems on a refined mesh are instead solved by conjugate
 gradients preconditioned by a geometric multigrid V-cycle over the
-refinement hierarchy.  A Jacobi-preconditioned conjugate-gradient iteration
-with every iterate projected onto the mean-constraint hyperplane remains
+refinement hierarchy.  Jacobi-preconditioned conjugate gradients remain
 available on request.
 """
 
@@ -19,7 +18,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from . import _kernels
 from .errors import (
     DimensionMismatchError,
     IncompatibleRhsError,
@@ -199,6 +197,32 @@ class ReducedSystem:
     def expand(self, x_red):
         return x_red if self.r is None else self.r @ x_red
 
+    def _count(self, _x):
+        self.iterations += 1
+
+    def _cg(self, b_red, precond, tol, maxiter):
+        """SciPy's CG on A_red x = b_red, preconditioned by ``precond``
+        (r -> M^-1 r) and counted in ``iterations``.  With a kernel direction
+        k, b_red and every preconditioned residual lose their component along
+        k, and x moves along k onto c.x = 0 (A k = 0: the residual stays).
+        Returns x and whether CG reached the relative residual ``tol``: SciPy
+        reports success for maxiter = 0 too, and a run that breaks down in
+        roundoff (a division by zero) returns x = 0."""
+        import scipy.sparse.linalg as spla
+
+        k, c = self.k_red, self.c_red
+        deflate = (lambda v: v) if k is None else (lambda v: v - (float(k @ v) / float(k @ k)) * k)
+        b_red = deflate(b_red)
+        m = spla.LinearOperator(self.a_red.shape, matvec=lambda r: deflate(precond(r)), dtype=float)
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                x, info = spla.cg(self.a_red, b_red, rtol=tol, maxiter=maxiter, M=m, callback=self._count)
+        except FloatingPointError:  # broke down in roundoff, as at K = 1e12 on the refine-4 disk
+            return np.zeros_like(b_red), False
+        if k is not None:
+            x -= (float(c @ x) / float(c @ k)) * k
+        return x, info == 0 and (maxiter > 0 or not b_red.any())
+
 
 def nested_dissection(a, points):
     """Fill-reducing order of the symmetric sparse matrix ``a`` from the (x, y)
@@ -315,10 +339,32 @@ class MultigridConstrainedSolver(ReducedSystem):
             r -= (float(k @ r) / float(k @ c)) * c
             if self.backward_error(x, b_red, r) <= MG_BACKWARD_TOL:
                 break
-            dx, iters, _ = _kernels.pcg(a, self._vcycle, r, c, k, MG_SWEEP_TOL, MG_SWEEP_MAXITER)
-            x += dx
-            self.iterations += iters
-        return x - (float(c @ x) / float(c @ k)) * k
+            x += self._cg(r, self._vcycle, MG_SWEEP_TOL, MG_SWEEP_MAXITER)[0]
+        return x
+
+
+class JacobiConstrainedSolver(ReducedSystem):
+    """The reduced system solved by Jacobi-preconditioned CG to the relative
+    residual ``tol`` within ``maxiter`` iterations (20 n_red by default)."""
+
+    def __init__(self, a, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None):
+        super().__init__(a, cs)
+        if self.c_red is not None and self.k_red is None:
+            # the CG projection needs the kernel direction; without it the mean
+            # constraint is only enforceable through the bordered system
+            raise InvalidArgumentError(
+                "mean constraint without a kernel direction requires the direct path")
+        self.tol, self.maxiter = float(tol), int(20 * self.n_red if maxiter is None else maxiter)
+
+    def solve_reduced(self, b_red):
+        diag = self.a_red.diagonal()
+        self.iterations = 0
+        x, converged = self._cg(b_red, (1.0 / np.where(diag > 0, diag, 1.0)).__mul__,
+                                self.tol, self.maxiter)
+        if not converged:
+            raise NoConvergenceError(f"CG did not reach relative residual {self.tol:.1e} "
+                                     f"in {self.maxiter} iterations")
+        return x
 
 
 def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, method="auto"):
@@ -328,13 +374,13 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     exactly and c.x = 0.  The default ``method="auto"`` factors the bordered
     system with a sparse LU (``"splu"``), or, from MG_MIN_UNKNOWNS reduced
     unknowns of a constraint set with refinement levels whose coarsest has
-    at most MG_MAX_COARSE, runs multigrid CG (``"mg-cg"``).  It reports the
-    achieved reduced relative residual off the mean functional, where the
-    Lagrange multiplier lives, and the normwise backward error; above
-    DIRECT_RESIDUAL_TOL the system is numerically singular and
-    SingularSystemError is raised.  ``tol`` and ``maxiter`` apply only to
-    ``method="cg"``, the projected conjugate-gradient iteration, which
-    raises NoConvergenceError when it does not reach ``tol``.
+    at most MG_MAX_COARSE, runs multigrid CG (``"mg-cg"``).  ``method="cg"``
+    runs Jacobi-preconditioned CG to the relative residual ``tol`` within
+    ``maxiter`` iterations, and raises NoConvergenceError when it does not
+    reach it.  Every method reports the achieved reduced relative residual
+    off the mean functional, where the Lagrange multiplier lives, and the
+    normwise backward error; above DIRECT_RESIDUAL_TOL the system is
+    numerically singular and SingularSystemError is raised.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (a.shape[0],):
@@ -346,7 +392,7 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
               and cs.levels[-1].shape[1] <= MG_MAX_COARSE)
         method = "mg-cg" if mg else "splu"
     red = {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
-           "cg": ReducedSystem}[method](a, cs)
+           "cg": functools.partial(JacobiConstrainedSolver, tol=tol, maxiter=maxiter)}[method](a, cs)
     b_red = red.reduce_rhs(b)
     bnorm = np.linalg.norm(b_red)
     if red.k_red is not None and bnorm > 0:
@@ -356,9 +402,6 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
             raise IncompatibleRhsError(
                 f"rhs has kernel component {rel:.3e} (tolerance {KERNEL_RHS_TOL:.1e}); "
                 "project the sources first")
-
-    if method == "cg":
-        return _solve_cg(red, b_red, tol, maxiter)
     x_red = red.solve_reduced(b_red)
     r = red.a_red @ x_red - b_red
     if red.c_red is not None:  # A x + mu c = b: the multiplier's share mu c is no error
@@ -368,30 +411,6 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
         raise SingularSystemError(f"constrained system is numerically singular: {method} solve "
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
     return ConstrainedSolution(red.expand(x_red), red.iterations, res, method,
-                               red.backward_error(x_red, b_red))
-
-
-def _solve_cg(red, b_red, tol, maxiter):
-    if red.c_red is not None and red.k_red is None:
-        # the CG projection needs the kernel direction; without it the mean
-        # constraint is only enforceable through the bordered system
-        raise InvalidArgumentError(
-            "mean constraint without a kernel direction requires the direct path")
-    if maxiter is None:
-        maxiter = 20 * red.n_red
-    diag = red.a_red.diagonal().copy()
-    diag[diag <= 0] = 1.0
-    # pcg takes an empty functional and kernel for "none"
-    x_red, iters, relres = _kernels.pcg(
-        red.a_red, 1.0 / diag, b_red, np.empty(0) if red.c_red is None else red.c_red,
-        np.empty(0) if red.k_red is None else red.k_red, float(tol), int(maxiter))
-    if relres > tol:
-        raise NoConvergenceError(
-            f"CG stalled at relative residual {relres:.3e} after {iters} iterations")
-    if red.c_red is not None:
-        # final oblique projection onto {c.x = 0} along the kernel direction
-        x_red = x_red - (float(red.c_red @ x_red) / float(red.c_red @ red.k_red)) * red.k_red
-    return ConstrainedSolution(red.expand(x_red), int(iters), float(relres), "cg",
                                red.backward_error(x_red, b_red))
 
 

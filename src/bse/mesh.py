@@ -134,12 +134,15 @@ def _edge_keys(triangles, nv):
 
 def _validate(vertices, triangles, surface):
     nv = vertices.shape[0]
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise InvariantViolationError(f"vertex {bad[0]} has non-finite coordinates {vertices[bad[0]]}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         raise InvariantViolationError("triangle index out of range")
     if surface.size and (surface.min() < 0 or surface.max() >= nv):
         raise InvariantViolationError("surface index out of range")
     areas = _signed_areas(vertices, triangles)
-    if np.any(areas <= 0.0):
+    if not np.all(areas > 0.0):  # NaN too
         bad = int(np.argmin(areas))
         raise InvariantViolationError(
             f"triangle {bad} has non-positive signed area {areas[bad]:.3e}")
@@ -318,8 +321,12 @@ def write_mesh(mesh: Mesh, path):
 
 def read_mesh(path) -> Mesh:
     """Parse the text format; raises ParseError with a line number on bad input."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError("non-ASCII byte", line=data.count(b"\n", 0, exc.start) + 1) from None
     pos = 0
 
     def next_line():
@@ -369,7 +376,7 @@ def read_mesh(path) -> Mesh:
             raise ParseError("expected 'i j k'", line=ln)
         try:
             triangles[i] = [int(p) for p in parts]
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise ParseError("bad index in triangle line", line=ln) from None
 
     ns = section("surface")
@@ -378,7 +385,7 @@ def read_mesh(path) -> Mesh:
         text, ln = next_line()
         try:
             surface[i] = int(text)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise ParseError("bad index in surface line", line=ln) from None
 
     if any(text.strip() for text in lines[pos:]):

@@ -306,17 +306,19 @@ def test_oracle_task_and_geometry_file(tmp_path):
     assert cli.run(cfg2) == 0
 
 
-@pytest.mark.parametrize("text", [
-    "bse-mesh 1\nvertices 100000000000\n",
+@pytest.mark.parametrize("data", [
+    b"bse-mesh 1\nvertices 100000000000\n",
     None,  # a valid mesh followed by a stray line
-], ids=["huge-count", "trailing-line"])
-def test_bad_mesh_file_is_a_parse_error(tmp_path, text):
+    b"bse-mesh 1\nvertices 1\n0 \xe9\ntriangles 0\nsurface 0\n",
+    b"bse-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n",
+], ids=["huge-count", "trailing-line", "non-ascii", "index-beyond-int64"])
+def test_bad_mesh_file_is_a_parse_error(tmp_path, data):
     from bse import mesh
     path = tmp_path / "m.txt"
-    if text is None:
+    if data is None:
         mesh.write_mesh(mesh.generate_disk(8, 0), path)
-        text = path.read_text() + "garbage here\n"
-    path.write_text(text)
+        data = path.read_bytes() + b"garbage here\n"
+    path.write_bytes(data)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "file.json", {
         "geometry": {"type": "file", "path": str(path)}, "task": "solve2",

@@ -38,43 +38,6 @@ def test_tri_entries_reference_triangle():
     np.testing.assert_allclose(areas, [0.5])
 
 
-def test_pcg_spd_system():
-    rng = np.random.default_rng(2)
-    n = 40
-    a = sp.diags([2.0 + rng.uniform(0, 1, n)], [0]).tocsr()
-    off = sp.random(n, n, density=0.1, random_state=np.random.RandomState(9))
-    a = (a + 0.05 * (off + off.T)).tocsr()
-    a.sort_indices()
-    b = rng.standard_normal(n)
-    dinv = 1.0 / a.diagonal()
-    x, it, res = _kernels.pcg(a, dinv, b, np.empty(0), np.empty(0), 1e-13, 2000)
-    np.testing.assert_allclose(a @ x, b, atol=1e-10)
-    assert res <= 1e-13
-
-
-def test_pcg_singular_with_projection():
-    # 1D periodic Laplacian: kernel = constants; constraint: weighted mean zero
-    n = 30
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        j = (i + 1) % n
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [1.0, -1.0, -1.0, 1.0]
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    a.sort_indices()
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(n)
-    b -= b.mean()
-    c = rng.uniform(1.0, 2.0, n)
-    k = np.ones(n)
-    dinv = 1.0 / a.diagonal()
-    x, it, res = _kernels.pcg(a, dinv, b, c, k, 1e-12, 2000)
-    assert res <= 1e-12
-    assert abs(c @ x) <= 1e-10
-    np.testing.assert_allclose(a @ x, b, atol=1e-9)
-
-
 def test_bessel_vs_scipy_grid(bessel_reference):
     # the scalar probe and the array evaluation of the oracle scan against
     # 40-digit mpmath literals

@@ -10,6 +10,7 @@ from bse.errors import (
     DimensionMismatchError,
     IncompatibleRhsError,
     InvalidArgumentError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
     SingularSystemError,
 )
@@ -144,6 +145,29 @@ def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
     for method in ("cg", "auto"):
         x = linalg.solve_constrained(a, b, cs, method=method).x
         np.testing.assert_allclose(x, x_ref, atol=1e-9 * max(1.0, np.abs(x_ref).max()))
+
+
+def _definite_system(n=40):
+    # diagonally dominant, with neither mean constraint nor kernel
+    rng = np.random.default_rng(2)
+    off = sp.random(n, n, density=0.1, random_state=np.random.RandomState(9))
+    a = (sp.diags(2.0 + rng.uniform(0, 1, n)) + 0.05 * (off + off.T)).tocsr()
+    return a, rng.standard_normal(n), ConstraintSet(n=n, points=line_points(n))
+
+
+def test_cg_solves_a_definite_system():
+    a, b, cs = _definite_system()
+    sol = linalg.solve_constrained(a, b, cs, tol=1e-13, method="cg")
+    assert sol.method == "cg" and sol.iterations > 0
+    np.testing.assert_allclose(a @ sol.x, b, atol=1e-10)
+
+
+@pytest.mark.parametrize("maxiter", (3, 0))
+def test_cg_that_misses_tol_raises(maxiter):
+    # 1e-13 takes more than 3 iterations; SciPy's cg reports success after 0
+    a, b, cs = _definite_system()
+    with pytest.raises(NoConvergenceError):
+        linalg.solve_constrained(a, b, cs, tol=1e-13, maxiter=maxiter, method="cg")
 
 
 def test_elimination_map_reconstruction():

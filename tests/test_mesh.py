@@ -134,6 +134,40 @@ def test_read_bad_float_reports_line(tmp_path):
         mesh.read_mesh(path)
 
 
+@pytest.mark.parametrize("data,line", [
+    (b"bse-mesh 1\nvertices 1\n0 \xe9\ntriangles 0\nsurface 0\n", 3),
+    (b"bse-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n", 7),
+    (b"bse-mesh 1\nvertices 0\ntriangles 0\nsurface 1\n-99999999999999999999\n", 5),
+], ids=["non-ascii", "triangle-beyond-int64", "surface-beyond-int64"])
+def test_read_malformed_line_reports_line(tmp_path, data, line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"line {line}"):
+        mesh.read_mesh(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(tmp_path, bad):
+    m = mesh.generate_disk(8, 0)
+    v = m.vertices.copy()
+    v[4, 1] = bad
+    with pytest.raises(InvariantViolationError, match="vertex 4 has non-finite"):
+        mesh.Mesh(v, m.triangles, m.surface_nodes)
+    path = tmp_path / "m.txt"
+    path.write_text(f"bse-mesh 1\nvertices 3\n0 0\n1 0\n{bad} 1\n"
+                    "triangles 1\n0 1 2\nsurface 3\n0\n1\n2\n")
+    with pytest.raises(InvariantViolationError, match="vertex 2 has non-finite"):
+        mesh.read_mesh(path)
+
+
+def test_nan_area_rejected():
+    # finite vertices whose signed area overflows to inf - inf
+    v = [[0.0, 0.0], [1e308, 1e308], [1e308, 1e308]]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvariantViolationError, match="signed area nan"):
+        mesh.Mesh(v, [[0, 1, 2]], [0, 1, 2])
+
+
 @pytest.mark.parametrize("text,line", [
     ("bse-mesh 1\nvertices -3\n", 2),
     ("bse-mesh 1\nvertices 0\ntriangles 0\nsurface -1\n", 4),
