@@ -7,7 +7,8 @@ Lagrange border, and the bordered system is factored once by a sparse LU
 (SuperLU) in a nested-dissection order computed from the coordinates of the
 unknowns.  Large systems on a refined mesh are instead solved by conjugate
 gradients preconditioned by a geometric multigrid V-cycle over the
-refinement hierarchy.  Jacobi-preconditioned conjugate gradients remain
+refinement hierarchy, which ends in the same bordered sparse LU of the
+coarsest level.  Jacobi-preconditioned conjugate gradients remain
 available on request.
 """
 
@@ -35,9 +36,6 @@ DIRECT_RESIDUAL_TOL = 1e-6
 # reduced unknowns from which a system with refinement levels is solved by
 # multigrid CG: the n_boundary = 64 disk has 11k at refine 3 and 42k at refine 4
 MG_MIN_UNKNOWNS = 20000
-# most unknowns of the coarsest level, whose dense pseudo-inverse takes 0.01 s
-# at 257 (n_boundary = 64), 0.06 s at 529 and 0.22 s at 897 (n_boundary = 128)
-MG_MAX_COARSE = 600
 # damped Jacobi weight, smoothing steps before and after, and the relative
 # residual at which each CG sweep stops: weights 0.5-0.8, 1-3 steps and
 # 1e-4 to 1e-8 took 14-31 iterations at refine 4-5 and times within the
@@ -185,10 +183,11 @@ class ReducedSystem:
 
     def backward_error(self, x_red, b_red, r=None):
         """Normwise backward error |r| / (|A| |x| + |b|) of the reduced
-        system, in the infinity norm, with the residual r = b - A x by default."""
+        system, in the infinity norm, with the residual r = b - A x by default;
+        NaN when x or b holds a NaN, so that no tolerance accepts it."""
         r = b_red - self.a_red @ x_red if r is None else r
         denom = self.norm_inf * np.max(np.abs(x_red)) + np.max(np.abs(b_red))
-        return float(np.max(np.abs(r)) / denom) if denom > 0 else 0.0
+        return float(np.max(np.abs(r)) / denom) if denom != 0 else 0.0
 
     def reduce_rhs(self, b):
         # right-hand sides and functionals transform by R^T
@@ -299,24 +298,27 @@ class MultigridConstrainedSolver(ReducedSystem):
     """The reduced system with a geometric multigrid V-cycle over the
     constraint set's refinement ``levels`` (Hackbusch, *Multi-Grid Methods and
     Applications*, 1985): Galerkin coarse matrices P^T A P of the given
-    prolongations P, damped Jacobi smoothing and the pseudo-inverse of the
-    coarsest matrix."""
+    prolongations P, damped Jacobi smoothing and, on the coarsest level, the
+    bordered sparse LU of FactorizedConstrainedSolver with the border P^T c."""
 
     def __init__(self, a, cs: ConstraintSet):
         super().__init__(a, cs)
         if not cs.levels or self.k_red is None:
             raise InvalidArgumentError("multigrid needs refinement levels and a kernel direction")
         self._levels = []  # (A, omega / diag A, P, P^T), finest first
-        a_l = self.a_red
+        a_l, c_l, pts = self.a_red, self.c_red, self.points
         for p in cs.levels:
             pt = p.T.tocsr()
             self._levels.append((a_l, MG_OMEGA / a_l.diagonal(), p, pt))
-            a_l = (pt @ a_l @ p).tocsr()
-        self._pinv = np.linalg.pinv(a_l.toarray(), hermitian=True)
+            # the border and the coordinates, as P^T-weighted means, go down too
+            a_l, c_l = (pt @ a_l @ p).tocsr(), pt @ c_l
+            pts = (pt @ pts) / (pt @ np.ones(p.shape[0]))[:, None]
+        # c_l.k_l = c.(P k_l) = c.k != 0: the bordered coarsest matrix is regular
+        self._coarse = FactorizedConstrainedSolver(a_l, ConstraintSet(a_l.shape[0], pts, mean_vector=c_l))
 
     def _vcycle(self, r, level=0):
         if level == len(self._levels):
-            return self._pinv @ r
+            return self._coarse.solve_reduced(r)
         a, wdinv, p, pt = self._levels[level]
         x = wdinv * r
         for _ in range(MG_SMOOTHING - 1):
@@ -373,8 +375,8 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
     exactly and c.x = 0.  The default ``method="auto"`` factors the bordered
     system with a sparse LU (``"splu"``), or, from MG_MIN_UNKNOWNS reduced
-    unknowns of a constraint set with refinement levels whose coarsest has
-    at most MG_MAX_COARSE, runs multigrid CG (``"mg-cg"``).  ``method="cg"``
+    unknowns of a constraint set with refinement levels and a kernel
+    direction, runs multigrid CG (``"mg-cg"``).  ``method="cg"``
     runs Jacobi-preconditioned CG to the relative residual ``tol`` within
     ``maxiter`` iterations, and raises NoConvergenceError when it does not
     reach it.  Every method reports the achieved reduced relative residual
@@ -388,8 +390,7 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     if method not in ("auto", "cg"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "auto":
-        mg = (cs.levels and cs.kernel is not None and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
-              and cs.levels[-1].shape[1] <= MG_MAX_COARSE)
+        mg = cs.levels and cs.kernel is not None and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
         method = "mg-cg" if mg else "splu"
     red = {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
            "cg": functools.partial(JacobiConstrainedSolver, tol=tol, maxiter=maxiter)}[method](a, cs)

@@ -62,8 +62,7 @@ class Mesh:
         for arr, name in ((vertices, "vertices"), (triangles, "triangles"), (surface, "surface_nodes")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        _validate(vertices, triangles, surface)
-        object.__setattr__(self, "_measures", _compute_measures(vertices, triangles, surface))
+        object.__setattr__(self, "_measures", _validate(vertices, triangles, surface))
 
     @property
     def n_vertices(self):
@@ -117,13 +116,6 @@ def _signed_areas(vertices, triangles):
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
 
-def _compute_measures(vertices, triangles, surface):
-    area = float(np.sum(_signed_areas(vertices, triangles)))
-    d = vertices[np.roll(surface, -1)] - vertices[surface]
-    perimeter = float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-    return Measures(area=area, perimeter=perimeter)
-
-
 def _edge_keys(triangles, nv):
     """Undirected edge (a, b) of each triangle side as the int64 key
     min*nv + max; row i holds the sides (0,1), (1,2), (2,0) of triangle i."""
@@ -133,6 +125,7 @@ def _edge_keys(triangles, nv):
 
 
 def _validate(vertices, triangles, surface):
+    """Check the mesh invariants and return the mesh's measures."""
     nv = vertices.shape[0]
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
@@ -141,11 +134,16 @@ def _validate(vertices, triangles, surface):
         raise InvariantViolationError("triangle index out of range")
     if surface.size and (surface.min() < 0 or surface.max() >= nv):
         raise InvariantViolationError("surface index out of range")
-    areas = _signed_areas(vertices, triangles)
-    if not np.all(areas > 0.0):  # NaN too
-        bad = int(np.argmin(areas))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        areas = _signed_areas(vertices, triangles)
+        d = vertices[np.roll(surface, -1)] - vertices[surface]
+        m = Measures(area=float(np.sum(areas)), perimeter=float(np.sum(np.hypot(d[:, 0], d[:, 1]))))
+    bad = np.flatnonzero(~((areas > 0.0) & (areas < np.inf)))  # NaN fails both
+    if bad.size:
         raise InvariantViolationError(
-            f"triangle {bad} has non-positive signed area {areas[bad]:.3e}")
+            f"triangle {bad[0]} has signed area {areas[bad[0]]:.3e}, not positive and finite")
+    if not np.isfinite([m.area, m.perimeter]).all():
+        raise InvariantViolationError(f"mesh measures overflow: {m}")
     surface_set = np.unique(surface)
     if len(surface_set) != len(surface):
         raise InvariantViolationError("surface cycle visits a node twice")
@@ -168,6 +166,7 @@ def _validate(vertices, triangles, surface):
     euler = nv - len(keys) + triangles.shape[0]
     if euler != 1:
         raise InvariantViolationError(f"Euler characteristic V-E+T = {euler}, expected 1")
+    return m
 
 
 def triangle_aspect_ratios(mesh: Mesh):

@@ -329,6 +329,24 @@ def test_bad_mesh_file_is_a_parse_error(tmp_path, data):
     assert "line" in err["message"]
 
 
+@pytest.mark.parametrize("vertices,area", [
+    ("1e308 1e308\n1e308 1e308\n", "nan"),
+    ("1e308 0\n0 1e308\n", "inf"),
+], ids=["nan", "inf"])
+def test_overflowing_mesh_file_is_an_invariant_violation(tmp_path, vertices, area):
+    # finite vertices whose signed area overflows
+    path = tmp_path / "m.txt"
+    path.write_text(f"bse-mesh 1\nvertices 3\n0 0\n{vertices}triangles 1\n0 1 2\nsurface 3\n0\n1\n2\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "file.json", {
+        "geometry": {"type": "file", "path": str(path)}, "task": "solve2",
+        "sources": {"f": "1", "g": "-1"}, "output": {"dir": str(out)}})
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invariant-violation"
+    assert f"triangle 0 has signed area {area}" in err["message"]
+
+
 @pytest.mark.parametrize("f", ["(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x"],
                          ids=["parentheses", "unary-minus"])
 def test_deeply_nested_source_is_a_parse_error(tmp_path, f):

@@ -288,6 +288,16 @@ def test_direct_solve_checks_its_residual():
         linalg.solve_constrained(_two_paths(1e-14), b, cs)
 
 
+def test_backward_error_of_a_nan_solution_is_nan():
+    red = linalg.ReducedSystem(sp.identity(3, format="csr"), ConstraintSet(n=3, points=line_points(3)))
+    b = np.ones(3)
+    assert red.backward_error(np.ones(3), b) == 0.0
+    assert red.backward_error(np.zeros(3), np.zeros(3)) == 0.0
+    for x in (np.array([np.nan, 1.0, 1.0]), np.full(3, np.nan)):
+        assert np.isnan(red.backward_error(x, b))
+        assert not red.backward_error(x, b) <= linalg.MG_BACKWARD_TOL
+
+
 def test_factorizations_per_solve(splu_calls):
     rng = np.random.default_rng(9)
     n = 30
@@ -392,10 +402,10 @@ def test_constraint_points_validation(points):
 # Multigrid CG over the refinement hierarchy
 # ---------------------------------------------------------------------------
 
-def _disk_system(refine, k_like, alpha, gamma):
+def _disk_system(refine, k_like, alpha, gamma, n_boundary=64):
     """Coupled matrix, constraint set and load of smooth non-radial sources on
-    the n_boundary = 64 disk."""
-    msh = mesh.generate_disk(64, refine)
+    the disk with ``n_boundary`` boundary nodes before refinement."""
+    msh = mesh.generate_disk(n_boundary, refine)
     forms = assembly.assemble_basic(msh)
     x, y = msh.vertices.T
     s = msh.surface_nodes
@@ -485,18 +495,19 @@ def test_multigrid_at_large_k_agrees_with_superlu(default_order_solve, k_like, b
     assert _rel_inf(sol.x, default_order_solve(a, b, cs)[0]) <= bound
 
 
-def test_large_coarsest_level_keeps_the_direct_solve(splu_calls):
-    # refine 1 of the n_boundary = 512 disk has 46k unknowns, but its
-    # coarsest level has 11.8k, whose dense pseudo-inverse would need 1.1 GB
-    msh = mesh.generate_disk(512, 1)
-    forms = assembly.assemble_basic(msh)
-    cs = assembly.build_constraints(forms, 1.0, 1.0, 1.0)
-    assert cs.n >= linalg.MG_MIN_UNKNOWNS and cs.levels[-1].shape[1] > linalg.MG_MAX_COARSE
-    m = assembly.measures(msh)
-    b = assembly.assemble_load(forms, np.ones(msh.n_vertices),
-                               -np.ones(msh.n_surface) * m.area / m.perimeter)
-    assert linalg.solve_constrained(assembly.assemble_coupled(forms, 1.0, 1.0), b, cs).method == "splu"
-    assert len(splu_calls) == 1
+@pytest.mark.parametrize("k_like", (0.0, 1.0))
+def test_multigrid_on_a_large_coarsest_level(default_order_solve, splu_calls, k_like):
+    # refine 1 of the n_boundary = 512 disk has 46k unknowns and a coarsest
+    # level of 11.8k, which the V-cycle closes with the bordered sparse LU:
+    # the one factorization of the solve
+    a, cs, b = _disk_system(1, k_like, 1.0, 1.0, n_boundary=512)
+    n_coarse = cs.levels[-1].shape[1]
+    assert cs.levels[0].shape[0] >= linalg.MG_MIN_UNKNOWNS and n_coarse > 11000
+    sol = linalg.solve_constrained(a, b, cs)
+    assert sol.method == "mg-cg"
+    assert [m.shape for m in splu_calls] == [(n_coarse + 1, n_coarse + 1)]
+    assert _rel_inf(sol.x, default_order_solve(a, b, cs)[0]) <= 1e-12
+    assert _reduced_backward_error(a, cs, b, sol.x) <= 1e-15
 
 
 @pytest.mark.parametrize("k_like", (0.0, 1.0))

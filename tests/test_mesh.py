@@ -160,12 +160,40 @@ def test_non_finite_vertex_rejected(tmp_path, bad):
         mesh.read_mesh(path)
 
 
-def test_nan_area_rejected():
-    # finite vertices whose signed area overflows to inf - inf
-    v = [[0.0, 0.0], [1e308, 1e308], [1e308, 1e308]]
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(InvariantViolationError, match="signed area nan"):
-        mesh.Mesh(v, [[0, 1, 2]], [0, 1, 2])
+# finite vertices whose measures overflow: a signed area of inf - inf, a
+# signed area of inf, three finite areas of 7.3e307 that sum to inf, and a
+# finite area (5e7) whose boundary sums to inf
+_R = 1.3e154
+OVERFLOWING_MESHES = {
+    "nan": ([[0.0, 0.0], [1e308, 1e308], [1e308, 1e308]], [[0, 1, 2]], [0, 1, 2],
+            "triangle 0 has signed area nan"),
+    "inf": ([[0.0, 0.0], [1e308, 0.0], [0.0, 1e308]], [[0, 1, 2]], [0, 1, 2],
+            "triangle 0 has signed area inf"),
+    "total-area": ([[0.0, 0.0]] + [[_R * math.cos(t), _R * math.sin(t)]
+                                   for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)],
+                   [[0, 1, 2], [0, 2, 3], [0, 3, 1]], [1, 2, 3], "overflow: .*area=inf"),
+    "perimeter": ([[0.0, 0.0], [1e308, 0.0], [1e308, 1e-300]], [[0, 1, 2]], [0, 1, 2],
+                  "overflow: .*perimeter=inf"),
+}
+
+
+def overflowing_mesh_text(case):
+    v, t, s, _ = OVERFLOWING_MESHES[case]
+    return (f"bse-mesh 1\nvertices {len(v)}\n" + "".join(f"{x!r} {y!r}\n" for x, y in v)
+            + f"triangles {len(t)}\n" + "".join(f"{i} {j} {k}\n" for i, j, k in t)
+            + f"surface {len(s)}\n" + "".join(f"{i}\n" for i in s))
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_MESHES))
+def test_non_finite_area_rejected(tmp_path, case):
+    v, t, s, match = OVERFLOWING_MESHES[case]
+    assert np.isfinite(v).all()
+    with pytest.raises(InvariantViolationError, match=match):
+        mesh.Mesh(v, t, s)
+    path = tmp_path / "m.txt"
+    path.write_text(overflowing_mesh_text(case))
+    with pytest.raises(InvariantViolationError, match=match):
+        mesh.read_mesh(path)
 
 
 @pytest.mark.parametrize("text,line", [
