@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
+from . import _kernels, linalg
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidArgumentError
 from .linalg import ConstraintSet, CsrMatrix
 from .mesh import Mesh, measures
@@ -210,17 +210,18 @@ def _constraint_set(msh, k_like, alpha_like, **kwargs) -> ConstraintSet:
 
 
 def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
-                      mean_like: float) -> ConstraintSet:
+                      mean_like: float, multigrid=True) -> ConstraintSet:
     """Trace elimination (K = 0), the mean-constraint functional and, for a
-    refined mesh, the prolongations between the retained unknowns of its
-    refinement levels (finest first) for multigrid.
+    refined mesh and unless ``multigrid`` is false, the prolongations between
+    the retained unknowns of its refinement levels (finest first) for
+    multigrid.
 
     The mean constraint is c.(u, v) = mean_like * int(u) + int(v) = 0; its
     pairing with the kernel must stay away from zero (``check_mean_pairing``).
     """
     check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
     levels, msh = [], forms.mesh
-    while msh.parent is not None:
+    while multigrid and msh.parent is not None:
         p = msh.prolongation
         if k_like == 0:  # P[retained] R_coarse: a midpoint's ends are eliminated alike
             p = (p[_constraint_set(msh, 0, alpha_like).retained()]
@@ -230,6 +231,56 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
     return _constraint_set(forms.mesh, k_like, alpha_like, mean_vector=cvec,
                            kernel=kernel_pair(forms, alpha_like), levels=tuple(levels))
+
+
+class Discretization:
+    """The systems of one mesh for one call: coupled matrix, constraint set and
+    solver of a key (K or L, alpha or beta, mean, gamma), built on first use
+    and kept until another key is asked for (a refine-6 LU takes 1.6 GB).  The
+    solver is multigrid CG where ``solve_constrained``'s "auto" picks it, else
+    (always with ``direct``) the bordered SuperLU.  The forms and reduced
+    patterns' orders stay in ``mesh.cache``: arrays and sparse matrices only.
+    ``counts``: solvers built, that cache's hits and misses."""
+
+    def __init__(self, mesh: Mesh, direct=False):
+        self.mesh, self.direct, self._systems, self._solver = mesh, direct, {}, None
+        self.counts = {"solvers": {"splu": 0, "mg-cg": 0}, "forms": {"hits": 0, "misses": 0},
+                       "orders": {"hits": 0, "misses": 0}}
+
+    def _cached(self, kind, key, build):
+        hit = key in self.mesh.cache
+        self.counts[kind]["hits" if hit else "misses"] += 1
+        return self.mesh.cache[key] if hit else self.mesh.cache.setdefault(key, build())
+
+    @functools.cached_property
+    def forms(self) -> BasicForms:
+        def build():
+            f = assemble_basic(self.mesh)
+            return f.a_bulk, f.m_bulk, f.a_surf, f.m_surf
+        return BasicForms(self.mesh, *self._cached("forms", "forms", build))
+
+    def _order(self, a_red, points):  # the pattern fixes the retained unknowns, so the points
+        return self._cached("orders", (a_red.indptr.tobytes(), a_red.indices.tobytes()),
+                            lambda: linalg.nested_dissection(a_red, points))
+
+    def system(self, *key):
+        """Coupled matrix and constraint set, with levels for a multigrid solver."""
+        if key not in self._systems:
+            self._systems, self._solver = {}, None  # the last key's, freed before the next is built
+            k_like, alpha_like, mean_like, gamma = key
+            n_red = self.mesh.n_vertices + (self.mesh.n_surface if k_like else 0)  # K = 0: no traces
+            multigrid = not self.direct and n_red >= linalg.MG_MIN_UNKNOWNS
+            self._systems[key] = (assemble_coupled(self.forms, k_like, alpha_like, gamma),
+                                  build_constraints(self.forms, k_like, alpha_like, mean_like, multigrid))
+        return self._systems[key]
+
+    def solver(self, *key):
+        a, cs = self.system(*key)
+        if self._solver is None:
+            self._solver = (linalg.MultigridConstrainedSolver(a, cs) if cs.levels
+                            else linalg.FactorizedConstrainedSolver(a, cs, ordering=self._order))
+            self.counts["solvers"][self._solver.method] += 1
+        return self._solver
 
 
 def assemble_load(forms: BasicForms, f, g) -> np.ndarray:

@@ -214,6 +214,7 @@ def _task_solve(cfg, msh, params, outdir, fourth):
         "backward_error": report.backward_error,
         "iterations": report.iterations,
         "method": report.method,
+        "counts": report.counts,
         "norm_u_max": float(np.max(np.abs(u))),
         "norm_v_max": float(np.max(np.abs(v))),
         "seconds": elapsed,
@@ -242,6 +243,7 @@ def _task_eig(cfg, msh, params, outdir, fourth):
         "gram_defect": res.gram_defect,
         "method": res.method,
         "op_applications": res.op_applications,
+        "counts": res.counts,
         "seconds": elapsed,
     }
 
@@ -318,8 +320,8 @@ def _task_poincare(msh, params):
 
     t0 = time.perf_counter()
     c, res = poincare_constant(msh, params, return_result=True)
-    return {"poincare_constant": c, "method": res.method,
-            "op_applications": res.op_applications, "seconds": time.perf_counter() - t0}
+    return {"poincare_constant": c, "method": res.method, "op_applications": res.op_applications,
+            "counts": res.counts, "seconds": time.perf_counter() - t0}
 
 
 def run(config_path, outdir=None) -> int:

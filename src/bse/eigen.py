@@ -7,29 +7,24 @@ Lanczos (ARPACK, shift 0) finds the smallest eigenpairs, inverting with the
 bordered sparse LU of the constrained solves; that solve maps every vector
 onto the hyperplane, so every Krylov vector meets the constraint.  The
 fourth-order mass B = M A^+ M is applied through one factorized solve and
-never formed.  Requests for (nearly) the whole spectrum are solved densely
-in an orthonormal basis of the hyperplane.
+never formed.  One direct ``assembly.Discretization`` per call factors each
+system once (eig4 with L = K and beta = alpha has one).  Requests for
+(nearly) the whole spectrum are solved densely in an orthonormal basis of
+the hyperplane.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    CoupledField,
-    ProblemParams,
-    assemble_basic,
-    assemble_coupled,
-    build_constraints,
-)
+from .assembly import CoupledField, Discretization, ProblemParams
 from .errors import (
     InvalidArgumentError,
     NoConvergenceError,
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .linalg import (DIRECT_RESIDUAL_TOL, FactorizedConstrainedSolver, ReducedSystem,
-                     eig_dense_generalized)
+from .linalg import DIRECT_RESIDUAL_TOL, ReducedSystem, eig_dense_generalized
 from .mesh import Mesh
 
 MULTIPLET_REL_TOL = 1e-8
@@ -43,8 +38,8 @@ class EigenResult:
     ``residuals`` holds the per-pair relative pencil residual, ``gram_defect``
     the largest deviation of the B-Gram matrix from identity, and
     ``multiplicities`` the size of the numerical multiplet each eigenvalue
-    belongs to.  ``method`` is ``"arpack"`` or ``"dense"`` and
-    ``op_applications`` counts the shift-invert solves.
+    belongs to.  ``method`` is ``"arpack"`` or ``"dense"``, ``op_applications``
+    counts the shift-invert solves, ``counts`` are the ``Discretization``'s.
     """
 
     eigenvalues: np.ndarray
@@ -54,6 +49,7 @@ class EigenResult:
     multiplicities: np.ndarray
     method: str = "arpack"
     op_applications: int = 0
+    counts: dict | None = None
     _pencil: tuple = field(repr=False, default=None)
 
 
@@ -85,7 +81,7 @@ def _project(chat, r):
     return r - np.multiply.outer(chat, chat @ r)
 
 
-def _finalize(mesh, w, y, a, b, solver, chat, method, op_applications):
+def _finalize(disc, w, y, a, b, solver, chat, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
@@ -106,13 +102,13 @@ def _finalize(mesh, w, y, a, b, solver, chat, method, op_applications):
     for start, end in _group_multiplets(w):
         mult[start:end] = end - start
     full = solver.expand(y)
-    fields = [CoupledField.from_vector(mesh, full[:, j]) for j in range(len(w))]
+    fields = [CoupledField.from_vector(disc.mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
                        gram_defect=gram_defect, multiplicities=mult, method=method,
-                       op_applications=op_applications, _pencil=(a, b, y, chat))
+                       op_applications=op_applications, counts=disc.counts, _pencil=(a, b, y, chat))
 
 
-def _smallest(mesh, solver, b_apply, k):
+def _smallest(disc, solver, b_apply, k):
     """Smallest k eigenpairs of the energy matrix of ``solver`` against the
     full-space map ``b_apply`` on its constrained space, by shift-invert
     Lanczos in ``solver``'s reduced coordinates with its factorization as
@@ -137,7 +133,7 @@ def _smallest(mesh, solver, b_apply, k):
         q = sla.null_space(solver.c_red[None, :])
         b_qq = q.T @ (b @ q)
         w, v = eig_dense_generalized(q.T @ (a @ q), 0.5 * (b_qq + b_qq.T), k)
-        return _finalize(mesh, w, q @ v, a, b, solver, chat, "dense", 0)
+        return _finalize(disc, w, q @ v, a, b, solver, chat, "dense", 0)
     solves = 0
 
     def solve(x):
@@ -163,19 +159,14 @@ def _smallest(mesh, solver, b_apply, k):
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
     order = np.argsort(w)
-    return _finalize(mesh, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
-
-
-def _factored(forms, k_like, alpha_like, mean_like, gamma):
-    return FactorizedConstrainedSolver(assemble_coupled(forms, k_like, alpha_like, gamma),
-                                       build_constraints(forms, k_like, alpha_like, mean_like))
+    return _finalize(disc, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
 
 
 def _energy_mass(mesh, params, mean_like, k):
     """Energy (K, alpha, gamma) against block mass, mean_like-mean constrained."""
-    forms = assemble_basic(mesh)
-    solver = _factored(forms, params.K, params.alpha, mean_like, params.gamma)
-    return _smallest(mesh, solver, lambda x: forms.block_mass @ x, k)
+    disc = Discretization(mesh, direct=True)
+    mass = disc.forms.block_mass
+    return _smallest(disc, disc.solver(params.K, params.alpha, mean_like, params.gamma), mass.dot, k)
 
 
 def eig_second(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
@@ -196,14 +187,11 @@ def eig_fourth(mesh: Mesh, params: ProblemParams, k: int) -> EigenResult:
     of the (L, beta) system with alpha-mean constraint.  Eigenfields are
     B-orthonormal, the discrete dual-inner-product orthonormality.
     """
-    forms = assemble_basic(mesh)
-    outer = _factored(forms, params.K, params.alpha, params.beta, params.gamma)
-    # with L = K and beta = alpha the (L, beta) system with alpha-mean
-    # constraint is the outer system itself: one factorization serves both
-    inner = outer
-    if (params.L, params.beta) != (params.K, params.alpha):
-        inner = _factored(forms, params.L, params.beta, params.alpha, params.gamma)
-    return _smallest(mesh, outer, lambda x: forms.block_mass @ inner.solve(forms.block_mass @ x), k)
+    disc = Discretization(mesh, direct=True)
+    forms = disc.forms
+    outer = disc.solver(params.K, params.alpha, params.beta, params.gamma)
+    inner = disc.solver(params.L, params.beta, params.alpha, params.gamma)
+    return _smallest(disc, outer, lambda x: forms.block_mass @ inner.solve(forms.block_mass @ x), k)
 
 
 def poincare_constant(mesh: Mesh, params: ProblemParams, return_result=False):
@@ -230,9 +218,9 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    forms = assemble_basic(mesh)
-    a_cpl = assemble_coupled(forms, params.K, params.alpha, params.gamma)
-    red = ReducedSystem(a_cpl, build_constraints(forms, params.K, params.alpha, params.beta))
+    disc = Discretization(mesh, direct=True)
+    forms = disc.forms
+    red = ReducedSystem(*disc.system(params.K, params.alpha, params.beta, params.gamma))
     q = sla.null_space(red.c_red[None, :])
     a_qq = q.T @ (red.a_red @ q)
     h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")

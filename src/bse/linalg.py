@@ -261,14 +261,17 @@ class FactorizedConstrainedSolver(ReducedSystem):
     [[A_red, c_red], [c_red^T, 0]] (of A_red alone without a mean
     constraint), reused across many right-hand sides.  The unknowns are
     factored in ``nested_dissection`` order, the border last; SuperLU keeps
-    that order and prefers diagonal pivots: partial pivoting would undo it."""
+    that order and prefers diagonal pivots: partial pivoting would undo it.
+    ``ordering`` maps (A_red, points) to that order, computed or looked up."""
 
-    def __init__(self, a, cs: ConstraintSet):
+    method = "splu"
+
+    def __init__(self, a, cs: ConstraintSet, ordering=None):
         super().__init__(a, cs)
         # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
         import scipy.sparse.linalg as spla
 
-        order = nested_dissection(self.a_red, self.points)
+        order = (ordering or nested_dissection)(self.a_red, self.points)
         self._order, self._inv = order, np.argsort(order)
         a_perm = self.a_red[order][:, order]
         if self.c_red is None:
@@ -300,6 +303,8 @@ class MultigridConstrainedSolver(ReducedSystem):
     Applications*, 1985): Galerkin coarse matrices P^T A P of the given
     prolongations P, damped Jacobi smoothing and, on the coarsest level, the
     bordered sparse LU of FactorizedConstrainedSolver with the border P^T c."""
+
+    method = "mg-cg"
 
     def __init__(self, a, cs: ConstraintSet):
         super().__init__(a, cs)
@@ -349,6 +354,8 @@ class JacobiConstrainedSolver(ReducedSystem):
     """The reduced system solved by Jacobi-preconditioned CG to the relative
     residual ``tol`` within ``maxiter`` iterations (20 n_red by default)."""
 
+    method = "cg"
+
     def __init__(self, a, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None):
         super().__init__(a, cs)
         if self.c_red is not None and self.k_red is None:
@@ -369,7 +376,8 @@ class JacobiConstrainedSolver(ReducedSystem):
         return x
 
 
-def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, method="auto"):
+def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, method="auto",
+                      solver=None):
     """Solve A x = b, for a square SciPy sparse matrix A, subject to the constraint set.
 
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
@@ -381,8 +389,8 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     ``maxiter`` iterations, and raises NoConvergenceError when it does not
     reach it.  Every method reports the achieved reduced relative residual
     off the mean functional, where the Lagrange multiplier lives, and the
-    normwise backward error; above DIRECT_RESIDUAL_TOL the system is
-    numerically singular and SingularSystemError is raised.
+    normwise backward error; above DIRECT_RESIDUAL_TOL the system is numerically
+    singular and SingularSystemError is raised.  A ``solver`` built for A is used as is.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (a.shape[0],):
@@ -392,8 +400,9 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     if method == "auto":
         mg = cs.levels and cs.kernel is not None and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
         method = "mg-cg" if mg else "splu"
-    red = {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
-           "cg": functools.partial(JacobiConstrainedSolver, tol=tol, maxiter=maxiter)}[method](a, cs)
+    red = solver or {"splu": FactorizedConstrainedSolver, "mg-cg": MultigridConstrainedSolver,
+                     "cg": functools.partial(JacobiConstrainedSolver, tol=tol,
+                                             maxiter=maxiter)}[method](a, cs)
     b_red = red.reduce_rhs(b)
     bnorm = np.linalg.norm(b_red)
     if red.k_red is not None and bnorm > 0:
@@ -409,9 +418,9 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
         r -= red.c_red * ((red.c_red @ r) / (red.c_red @ red.c_red))
     res = float(np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0))
     if not res <= DIRECT_RESIDUAL_TOL:
-        raise SingularSystemError(f"constrained system is numerically singular: {method} solve "
+        raise SingularSystemError(f"constrained system is numerically singular: {red.method} solve "
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
-    return ConstrainedSolution(red.expand(x_red), red.iterations, res, method,
+    return ConstrainedSolution(red.expand(x_red), red.iterations, res, red.method,
                                red.backward_error(x_red, b_red))
 
 

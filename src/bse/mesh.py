@@ -46,6 +46,8 @@ class Mesh:
     prolongation : scipy.sparse CSR matrix or None
         Nodal interpolation from the parent's bulk vertices and then surface
         nodes to this mesh's: each new node averages the two it bisects.
+    cache : dict
+        Arrays and sparse matrices that ``assembly.Discretization`` keeps.
     """
 
     vertices: np.ndarray
@@ -54,6 +56,7 @@ class Mesh:
     _measures: Measures = field(init=False, repr=False, compare=False)
     parent: "Mesh | None" = field(default=None, repr=False, compare=False)
     prolongation: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))

@@ -3,8 +3,10 @@
 The second-order solve maps a compatible source pair onto the unique
 mean-constrained weak solution.  The fourth-order solve is the literal
 composition of two second-order solves with swapped coupling constants;
-the intermediate pair is retained on the report.  The module also exposes
-the energy, product-L2, and solution-induced dual inner products.
+the intermediate pair is retained on the report.  Each call builds its
+systems in one ``assembly.Discretization``, so solves of one system share its
+solver.  The module also exposes the energy, product-L2, and solution-induced
+dual inner products.
 """
 
 import logging
@@ -15,11 +17,10 @@ import numpy as np
 from .assembly import (
     BasicForms,
     CoupledField,
+    Discretization,
     ProblemParams,
-    assemble_basic,
     assemble_coupled,
     assemble_load,
-    build_constraints,
     compatibility_defect,
     compatibility_scale,
     project_compatible,
@@ -42,8 +43,8 @@ class SolveReport:
     the returned solution; ``method`` names the constrained-solve path
     (``"splu"`` or ``"mg-cg"``); ``backward_error`` is the normwise
     backward error of the reduced system; ``forms`` are the basic forms the solve
-    assembled, for norms of the result.  For fourth-order solves
-    ``intermediate`` holds the auxiliary pair produced by the first stage.
+    used, for norms of the result, and ``counts`` its ``Discretization``'s.
+    For fourth-order solves ``intermediate`` holds the first stage's pair.
     """
 
     field: CoupledField
@@ -56,6 +57,7 @@ class SolveReport:
     backward_error: float
     forms: BasicForms
     intermediate: CoupledField | None = None
+    counts: dict | None = None
 
 
 def _check_sources(forms, f, g, alpha_like, strict):
@@ -76,18 +78,16 @@ def _check_sources(forms, f, g, alpha_like, strict):
     return f, g, defect, compatibility_defect(forms, f, g, alpha_like)
 
 
-def _solve_stage(forms, k_like, alpha_like, mean_like, gamma, f, g, strict):
-    a = assemble_coupled(forms, k_like, alpha_like, gamma)
-    cs = build_constraints(forms, k_like, alpha_like, mean_like)
-    return _solve_system(forms, a, cs, alpha_like, f, g, strict)
-
-
-def _solve_system(forms, a, cs, alpha_like, f, g, strict):
-    f, g, defect_pre, defect_post = _check_sources(forms, f, g, alpha_like, strict)
-    b = assemble_load(forms, f, g)
-    sol = solve_constrained(a, b, cs)
-    defect_mean = abs(float(cs.mean_vector @ sol.x))
-    return sol, defect_pre, defect_post, defect_mean
+def _solve_stage(disc, key, f, g, strict, stage=None):
+    """One solve by the shared solver of ``key`` in ``disc``; errors name the ``stage``."""
+    try:
+        a, cs = disc.system(*key)
+        f, g, defect_pre, defect_post = _check_sources(disc.forms, f, g, key[1], strict)
+        sol = solve_constrained(a, assemble_load(disc.forms, f, g), cs, solver=disc.solver(*key))
+    except Exception as exc:
+        exc.args = (f"{stage}: {exc.args[0]}",) if stage and exc.args else exc.args
+        raise
+    return sol, defect_pre, defect_post, abs(float(cs.mean_vector @ sol.x))
 
 
 def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
@@ -97,13 +97,13 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     strict mode an incompatible pair raises, otherwise g is shifted by a
     constant first.
     """
-    forms = assemble_basic(mesh)
-    sol, pre, post, dmean = _solve_stage(forms, params.K, params.alpha, params.beta,
-                                         params.gamma, f, g, strict)
-    return SolveReport(field=CoupledField.from_vector(mesh, sol.x),
-                       iterations=sol.iterations, residual=sol.residual,
-                       defect_compat=pre, defect_compat_post=post, defect_mean=dmean,
-                       method=sol.method, backward_error=sol.backward_error, forms=forms)
+    disc = Discretization(mesh)
+    sol, pre, post, dmean = _solve_stage(disc, (params.K, params.alpha, params.beta, params.gamma),
+                                         f, g, strict)
+    return SolveReport(field=CoupledField.from_vector(mesh, sol.x), iterations=sol.iterations,
+                       residual=sol.residual, defect_compat=pre, defect_compat_post=post,
+                       defect_mean=dmean, method=sol.method, backward_error=sol.backward_error,
+                       forms=disc.forms, counts=disc.counts)
 
 
 def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
@@ -113,27 +113,18 @@ def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     output is beta-compatible by construction and feeds stage 2, which
     solves with (K, alpha) coupling and beta-mean constraint.
     """
-    forms = assemble_basic(mesh)
-    try:
-        sol1, pre, post, dmean1 = _solve_stage(forms, params.L, params.beta, params.alpha,
-                                               params.gamma, f, g, strict)
-    except Exception as exc:
-        exc.args = (f"stage 1 (Robin L, coupling beta): {exc.args[0]}",) if exc.args else exc.args
-        raise
+    disc = Discretization(mesh)
+    sol1, pre, post, dmean1 = _solve_stage(disc, (params.L, params.beta, params.alpha, params.gamma),
+                                           f, g, strict, "stage 1 (Robin L, coupling beta)")
     mu = CoupledField.from_vector(mesh, sol1.x)
-    try:
-        sol2, _, _, dmean2 = _solve_stage(forms, params.K, params.alpha, params.beta,
-                                          params.gamma, mu.u, mu.v, strict=True)
-    except Exception as exc:
-        exc.args = (f"stage 2 (Robin K, coupling alpha): {exc.args[0]}",) if exc.args else exc.args
-        raise
+    sol2, _, _, dmean2 = _solve_stage(disc, (params.K, params.alpha, params.beta, params.gamma),
+                                      mu.u, mu.v, True, "stage 2 (Robin K, coupling alpha)")
     return SolveReport(field=CoupledField.from_vector(mesh, sol2.x),
                        iterations=sol1.iterations + sol2.iterations,
-                       residual=max(sol1.residual, sol2.residual),
-                       defect_compat=pre, defect_compat_post=post,
-                       defect_mean=max(dmean1, dmean2), method=sol2.method,
+                       residual=max(sol1.residual, sol2.residual), defect_compat=pre,
+                       defect_compat_post=post, defect_mean=max(dmean1, dmean2), method=sol2.method,
                        backward_error=max(sol1.backward_error, sol2.backward_error),
-                       forms=forms, intermediate=mu)
+                       forms=disc.forms, intermediate=mu, counts=disc.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +160,11 @@ def norm_h0(forms: BasicForms, a: CoupledField) -> float:
 def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     """Inner product on beta-compatible source pairs, induced by the solves
     with (L, beta) coupling and alpha-mean constraint: the energy pairing of
-    the two solutions."""
-    forms = assemble_basic(mesh)
-    mat = assemble_coupled(forms, params.L, params.beta, params.gamma)
-    cs = build_constraints(forms, params.L, params.beta, params.alpha)
-    s = []
-    for f, g in (fg1, fg2):
-        sol, _, _, _ = _solve_system(forms, mat, cs, params.beta, f, g, strict=True)
-        s.append(sol.x)
-    return float(s[0] @ (mat @ s[1]))
+    the two solutions, which share one solver."""
+    disc = Discretization(mesh)
+    key = (params.L, params.beta, params.alpha, params.gamma)
+    s = [_solve_stage(disc, key, f, g, strict=True)[0].x for f, g in (fg1, fg2)]
+    return float(s[0] @ (disc.system(*key)[0] @ s[1]))
 
 
 def rescale_omega(field: CoupledField, omega: float) -> CoupledField:

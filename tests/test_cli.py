@@ -97,6 +97,25 @@ def test_run_solve4_reports_intermediate(tmp_path):
     assert summary["method"] == "splu"
 
 
+@pytest.mark.parametrize("task,params,solvers", [
+    ("solve2", {"K": 0.0}, 1), ("solve4", {"K": 1.0, "L": 1.0}, 1), ("solve4", {"K": 1.0, "L": 2.0}, 2),
+    ("eig2", {"K": 0.0}, 1), ("eig4", {"K": 1.0, "L": 2.0, "beta": 0.5}, 2), ("poincare", {}, 1),
+])
+def test_summary_counts_solvers_and_cache(tmp_path, task, params, solvers):
+    # both systems of a two-system task share one sparsity pattern and so one order
+    cfg = write_config(tmp_path, "counts.json", {
+        "geometry": {"type": "disk", "n_boundary": 16, "refine": 1},
+        "params": params, "task": task, "eig": {"k": 3},
+        "sources": {"f": "1 - x*x", "g": "y", "strict_compat": False},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.run(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["counts"] == {"solvers": {"splu": solvers, "mg-cg": 0},
+                                 "forms": {"hits": 0, "misses": 1},
+                                 "orders": {"hits": solvers - 1, "misses": 1}}
+
+
 @pytest.mark.parametrize("task", ["solve2", "solve4"])
 @pytest.mark.parametrize("refine,method,iterations", [(1, "splu", (0, 0)), (4, "mg-cg", (1, 60))])
 def test_solve_reports_method_and_backward_error(tmp_path, task, refine, method, iterations):
@@ -550,16 +569,18 @@ def test_seed_option_is_gone(tmp_path):
 
 
 def test_convergence_assembles_forms_once_per_level(tmp_path, monkeypatch):
-    from bse import solver
+    # counts the triangle assemblies themselves: the solve and the error
+    # norms of a level share one set of forms
+    from bse import _kernels
 
     calls = []
-    real = solver.assemble_basic
+    real = _kernels.tri_entries
 
-    def counting(msh):
-        calls.append(msh.n_vertices)
-        return real(msh)
+    def counting(vertices, triangles):
+        calls.append(len(vertices))
+        return real(vertices, triangles)
 
-    monkeypatch.setattr(solver, "assemble_basic", counting)
+    monkeypatch.setattr(_kernels, "tri_entries", counting)
     cfg = write_config(tmp_path, "conv.json", {
         "geometry": {"type": "disk", "n_boundary": 16, "refine": 1},
         "params": {"K": 1.0, "alpha": 2.0, "beta": 1.0},
