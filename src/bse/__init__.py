@@ -15,7 +15,7 @@ _SUBMODULES = ("mesh", "expr", "linalg", "assembly", "solver", "eigen", "oracle"
 
 
 def kernel_backend():
-    """Hot-kernel implementation recorded in run summaries: always 'numpy'."""
+    """Hot-kernel implementation the benchmark records: always 'numpy'."""
     from . import _kernels
 
     return _kernels.kernel_backend()

@@ -9,7 +9,7 @@ from scipy import special
 
 
 def kernel_backend():
-    """Name recorded in run summaries; there is one implementation."""
+    """Name the benchmark records; there is one implementation."""
     return "numpy"
 
 

@@ -6,7 +6,6 @@ functional, load vectors, and the compatibility handling for source pairs.
 """
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ from . import _kernels, linalg
 from .errors import DegenerateConstraintError, DimensionMismatchError, InvalidArgumentError
 from .linalg import ConstraintSet, CsrMatrix
 from .mesh import Mesh, measures
-
-log = logging.getLogger(__name__)
 
 MEAN_DEGENERACY_REL_TOL = 1e-12
 
@@ -80,10 +77,6 @@ class CoupledField:
         object.__setattr__(self, "v", v)
 
     @classmethod
-    def zeros(cls, mesh: Mesh):
-        return cls(np.zeros(mesh.n_vertices), np.zeros(mesh.n_surface))
-
-    @classmethod
     def from_vector(cls, mesh: Mesh, x):
         nb = mesh.n_vertices
         return cls(x[:nb], x[nb:])
@@ -119,11 +112,6 @@ class BasicForms:
     @property
     def n_total(self):
         return self.n_bulk + self.n_surf
-
-    @property
-    def trace_indices(self):
-        """Bulk vertex index of each surface node (the selection matrix T)."""
-        return self.mesh.surface_nodes
 
     @functools.cached_property
     def lumped_bulk(self):
@@ -180,9 +168,13 @@ def assemble_coupled(forms: BasicForms, k_like: float, alpha_like: float,
     a_bulk, a_surf = forms.a_bulk, gamma * forms.a_surf
     if s == 0.0:
         return _from_blocks(forms.n_total, [[a_bulk, None], [None, a_surf]])
+    # a float product overflows to inf where ** raises; finite, it bounds s and alpha s
+    if not np.isfinite(float(alpha_like) * float(alpha_like) * s):
+        raise InvalidArgumentError(f"coupling weights 1/K, alpha/K, alpha^2/K of the (K, alpha) or "
+                                   f"(L, beta) pair ({k_like:.3g}, {alpha_like:.3g}) are not finite")
     # T selects the trace of a bulk field at the surface nodes
     ns = forms.n_surf
-    t = sp.csr_matrix((np.ones(ns), (np.arange(ns), forms.trace_indices)),
+    t = sp.csr_matrix((np.ones(ns), (np.arange(ns), forms.mesh.surface_nodes)),
                       shape=(ns, forms.n_bulk))
     ms_t = forms.m_surf @ t
     return _from_blocks(forms.n_total, [
@@ -296,15 +288,11 @@ def assemble_load(forms: BasicForms, f, g) -> np.ndarray:
 
 def compatibility_defect(forms: BasicForms, f, g, alpha_like: float) -> float:
     """alpha * int(f) + int(g); zero is required for solvability."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
     return float(alpha_like * forms.lumped_bulk @ f + forms.lumped_surf @ g)
 
 
 def compatibility_scale(forms: BasicForms, f, g, alpha_like: float) -> float:
     """Magnitude scale for relative compatibility defects."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
     return float(abs(alpha_like) * forms.lumped_bulk @ np.abs(f)
                  + forms.lumped_surf @ np.abs(g))
 

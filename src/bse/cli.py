@@ -279,6 +279,8 @@ def _task_convergence(cfg, params, outdir):
         raise InvalidArgumentError("convergence task runs on the disk geometry")
     n_boundary = _value(geo, "geometry", "n_boundary", 16, int)
     max_refine = _value(geo, "geometry", "refine", 3, int)
+    if max_refine < 1:  # an order of convergence needs two levels
+        raise InvalidArgumentError(f"geometry.refine must be >= 1 for the convergence task, got {max_refine}")
     manufactured = manufactured_second(params.K, params.alpha, params.beta)
     u_ast = expr.parse(manufactured.u_expr)
 
@@ -374,9 +376,6 @@ def run(config_path, outdir=None) -> int:
         import numpy
         import scipy
 
-        from . import _kernels
-
-        summary["kernel_backend"] = _kernels.kernel_backend()
         summary["versions"] = {"python": platform.python_version(),
                                "numpy": numpy.__version__, "scipy": scipy.__version__}
         blas = os.environ.get("OPENBLAS_NUM_THREADS", "")

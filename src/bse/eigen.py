@@ -108,6 +108,7 @@ def _finalize(disc, w, y, a, b, solver, chat, method, op_applications):
                        op_applications=op_applications, counts=disc.counts, _pencil=(a, b, y, chat))
 
 
+@np.errstate(over="raise", invalid="raise")  # B of a singular inner system of eig4 overflows
 def _smallest(disc, solver, b_apply, k):
     """Smallest k eigenpairs of the energy matrix of ``solver`` against the
     full-space map ``b_apply`` on its constrained space, by shift-invert
@@ -119,11 +120,11 @@ def _smallest(disc, solver, b_apply, k):
     n = solver.n_red
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, {n - 1}], got {k}")
-    a = solver.a_red
+    a, r = solver.a_red, solver.r
     chat = solver.c_red / np.linalg.norm(solver.c_red)
 
-    def apply_b(x):
-        return solver.reduce_rhs(b_apply(solver.expand(x)))
+    def apply_b(x):  # R^T B R through r alone: the result's B keeps no factorization
+        return b_apply(x) if r is None else r.T @ b_apply(r @ x)
 
     b = spla.LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
     if k >= n - 2:
@@ -141,25 +142,27 @@ def _smallest(disc, solver, b_apply, k):
         solves += 1
         return solver.solve_reduced(x)
 
-    # Lanczos orthonormalizes in B + s chat chat^T, which equals B on the
-    # hyperplane.  B = M A^+ M of eig4 is singular off it, and normalizing
-    # the roundoff there in B alone wrecks the Krylov basis.  The bordered
-    # solve maps c to 0, so the shift-invert operator is the same for both.
-    s = float(chat @ apply_b(chat))
-
-    def apply_m(x):
-        return apply_b(x) + s * chat * (chat @ x)
-
     # a fixed start vector: ARPACK's own random start changes between calls
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
+        # Lanczos orthonormalizes in B + s chat chat^T, which equals B on the
+        # hyperplane.  B = M A^+ M of eig4 is singular off it, and normalizing
+        # the roundoff there in B alone wrecks the Krylov basis.  The bordered
+        # solve maps c to 0, so the shift-invert operator is the same for both.
+        s = float(chat @ apply_b(chat))
+
+        def apply_m(x):
+            return apply_b(x) + s * chat * (chat @ x)
+
         w, y = spla.eigsh(a, k=k, sigma=0.0, which="LM", v0=v0,
                           M=spla.LinearOperator((n, n), matvec=apply_m, dtype=float),
                           OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
+        order = np.argsort(w)
+        return _finalize(disc, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
-    order = np.argsort(w)
-    return _finalize(disc, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
+    except (spla.ArpackError, FloatingPointError) as exc:
+        raise SingularSystemError(f"Lanczos broke down ({exc}): the pencil is numerically singular") from None
 
 
 def _energy_mass(mesh, params, mean_like, k):

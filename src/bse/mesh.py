@@ -6,7 +6,6 @@ numbering and bulk vertex numbering.  Meshes are immutable after
 construction and validated against the structural invariants below.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +13,6 @@ import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from .errors import InvalidArgumentError, InvariantViolationError, ParseError
-
-log = logging.getLogger(__name__)
 
 MESH_FORMAT_HEADER = "bse-mesh 1"
 
@@ -84,15 +81,6 @@ class Mesh:
         """Boundary edges as (ns, 2) bulk-index pairs in cycle order."""
         s = self.surface_nodes
         return np.column_stack([s, np.roll(s, -1)])
-
-    @property
-    def trace_map(self):
-        """surface index -> bulk vertex index (alias of surface_nodes)."""
-        return self.surface_nodes
-
-    def trace_inverse(self):
-        """bulk vertex index -> surface index as a dict."""
-        return {int(b): i for i, b in enumerate(self.surface_nodes)}
 
     def surface_lengths(self):
         """Length of each boundary edge, in cycle order."""

@@ -223,11 +223,9 @@ class ManufacturedSolution:
     in the continuum.
     """
 
-    f_expr: str
     g_expr: str
     u_expr: str
     v_value: float
-    shift: float
 
     def f_value(self):
         return -4.0
@@ -249,9 +247,7 @@ def manufactured_second(k_like: float, alpha: float, beta: float) -> Manufacture
     v0 = (2.0 * k_like + 1.0) / alpha
     c = -(beta * (math.pi / 2.0) + 2.0 * math.pi * v0) / denom
     return ManufacturedSolution(
-        f_expr="-4",
         g_expr=f"{2.0 * alpha:.17g}",
         u_expr=f"x^2+y^2+({alpha * c:.17g})",
         v_value=v0 + c,
-        shift=c,
     )

@@ -9,7 +9,6 @@ solver.  The module also exposes the energy, product-L2, and solution-induced
 dual inner products.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,9 @@ from .assembly import (
     compatibility_scale,
     project_compatible,
 )
-from .errors import IncompatibleSourceError, InvalidArgumentError
+from .errors import IncompatibleSourceError
 from .linalg import solve_constrained
 from .mesh import Mesh
-
-log = logging.getLogger(__name__)
 
 STRICT_COMPAT_REL_TOL = 1e-10
 
@@ -85,7 +82,7 @@ def _solve_stage(disc, key, f, g, strict, stage=None):
         f, g, defect_pre, defect_post = _check_sources(disc.forms, f, g, key[1], strict)
         sol = solve_constrained(a, assemble_load(disc.forms, f, g), cs, solver=disc.solver(*key))
     except Exception as exc:
-        exc.args = (f"{stage}: {exc.args[0]}",) if stage and exc.args else exc.args
+        exc.args = (f"{stage}: {exc}",) if stage and exc.args else exc.args
         raise
     return sol, defect_pre, defect_post, abs(float(cs.mean_vector @ sol.x))
 
@@ -153,10 +150,6 @@ def inner_h0(forms: BasicForms, a: CoupledField, b: CoupledField) -> float:
     return float(a.to_vector() @ (forms.block_mass @ b.to_vector()))
 
 
-def norm_h0(forms: BasicForms, a: CoupledField) -> float:
-    return float(np.sqrt(max(inner_h0(forms, a, a), 0.0)))
-
-
 def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     """Inner product on beta-compatible source pairs, induced by the solves
     with (L, beta) coupling and alpha-mean constraint: the energy pairing of
@@ -165,11 +158,3 @@ def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     key = (params.L, params.beta, params.alpha, params.gamma)
     s = [_solve_stage(disc, key, f, g, strict=True)[0].x for f, g in (fg1, fg2)]
     return float(s[0] @ (disc.system(*key)[0] @ s[1]))
-
-
-def rescale_omega(field: CoupledField, omega: float) -> CoupledField:
-    """Entrywise scaling that restates a solve with bulk diffusivity omega
-    in the normalized form (the surface weight becomes gamma/omega)."""
-    if omega <= 0:
-        raise InvalidArgumentError(f"omega must be > 0, got {omega}")
-    return CoupledField(omega * field.u, omega * field.v)

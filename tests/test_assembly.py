@@ -90,7 +90,7 @@ def test_coupled_robin_blocks(disk8):
     a = assembly.assemble_coupled(forms, 2.0, alpha, gamma=1.0).toarray()
     nb = forms.n_bulk
     t = np.zeros((forms.n_surf, nb))
-    t[np.arange(forms.n_surf), forms.trace_indices] = 1.0
+    t[np.arange(forms.n_surf), disk8.surface_nodes] = 1.0
     ms = forms.m_surf.toarray()
     np.testing.assert_allclose(a[:nb, :nb], forms.a_bulk.toarray() + s * t.T @ ms @ t,
                                atol=1e-14)
@@ -273,7 +273,7 @@ def test_project_compatible(disk8):
 def test_coupled_field_validation(disk8):
     with pytest.raises(InvalidArgumentError):
         CoupledField(np.array([np.nan]), np.array([1.0]))
-    f = CoupledField.zeros(disk8)
+    f = CoupledField(np.zeros(disk8.n_vertices), np.zeros(disk8.n_surface))
     f.check_mesh(disk8)
     with pytest.raises(DimensionMismatchError):
         CoupledField(np.zeros(3), np.zeros(2)).check_mesh(disk8)

@@ -261,6 +261,45 @@ def test_non_finite_params_exit_2(tmp_path, params):
     assert "finite" in err["message"]
 
 
+@pytest.mark.parametrize("task,params", [(task, {"alpha": alpha}) for task in (
+    "solve2", "eig2", "eig4", "poincare", "convergence") for alpha in (1e160, -1e300)] + [
+    ("solve4", {"beta": 1e160}), ("solve4", {"beta": -1e300})])
+def test_overflowing_coupling_weights_exit_2(tmp_path, task, params):
+    # finite parameters whose weight alpha^2/K overflows: a validation error
+    # that names the pair, not an OverflowError
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "big.json", {
+        "task": task, "geometry": {"n_boundary": 16}, "params": params,
+        "sources": {"f": "1", "g": "0", "strict_compat": False},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert "(K, alpha) or (L, beta) pair" in err["message"]
+    assert "not finite" in err["message"]
+    if task == "solve4":
+        assert err["message"].startswith("stage 1 (Robin L, coupling beta): coupling weights")
+
+
+@pytest.mark.parametrize("n_boundary", [8, 16])
+@pytest.mark.parametrize("l_like", [1e160, 1e300])
+def test_singular_inner_system_of_eig4_exits_3(tmp_path, l_like, n_boundary):
+    # with L this large the (L, beta) system behind B = M A_L^+ M is singular:
+    # on the coarser disk B overflows inside Lanczos, on the finer one the
+    # pencil residual shows it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "weak.json", {
+        "task": "eig4", "geometry": {"n_boundary": n_boundary}, "params": {"L": l_like},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "singular-system"
+    assert "numerically singular" in err["message"]
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("option", ["--K", "--alpha", "--gamma", "--lmax"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_oracle_rejects_non_finite_values(tmp_path, option, value):
@@ -283,6 +322,26 @@ def test_convergence_task(tmp_path):
     assert rows[0][3] == ""
     eoc_l2 = float(rows[-1][3])
     assert 1.8 <= eoc_l2 <= 2.2
+
+
+@pytest.mark.parametrize("refine", [0, -1])
+def test_convergence_needs_two_levels(tmp_path, monkeypatch, refine):
+    from bse import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(solver, "solve_second", no_solve)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "conv.json", {
+        "task": "convergence", "geometry": {"n_boundary": 16, "refine": refine},
+        "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert err["message"].startswith("geometry.refine must be >= 1")
+    assert not (out / "convergence.csv").exists()
 
 
 def test_poincare_task(tmp_path):

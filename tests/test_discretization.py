@@ -155,3 +155,22 @@ def test_no_solver_or_mesh_outlives_the_call(refine):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("eig, params, factored", [
+    (eigen.eig_second, ProblemParams(), 0),
+    (eigen.eig_second, ProblemParams(K=0.0), 0),
+    (eigen.eig_fourth, ProblemParams(K=1.0, L=2.0, beta=0.5), 1),  # the inner solve is B's
+])
+def test_eigen_result_keeps_no_outer_factorization(eig, params, factored):
+    def factorizations():
+        gc.collect()
+        return sum(isinstance(o, linalg.FactorizedConstrainedSolver) for o in gc.get_objects())
+
+    before = factorizations()
+    msh = mesh.generate_disk(16, 2)
+    res = eig(msh, params, 4)
+    assert factorizations() == before + factored
+    assert eigen.minimax_check(res, 3) < 1e-8
+    del res
+    assert factorizations() == before

@@ -240,15 +240,6 @@ def test_aspect_ratio_bounded_across_refinement(n):
         assert ratio <= 1.25 * base
 
 
-def test_trace_map_bijection_roundtrip():
-    m = mesh.generate_disk(32, 1)
-    inv = m.trace_inverse()
-    for i, b in enumerate(m.trace_map):
-        assert inv[int(b)] == i
-    boundary = {int(v) for e in m.surface_edges for v in e}
-    assert boundary == set(int(b) for b in m.trace_map)
-
-
 def test_mesh_arrays_immutable():
     m = mesh.generate_disk(8, 0)
     with pytest.raises(ValueError):

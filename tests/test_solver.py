@@ -5,7 +5,7 @@ import pytest
 
 from bse import assembly, expr, mesh, oracle, solver
 from bse.assembly import CoupledField, ProblemParams
-from bse.errors import IncompatibleSourceError, InvalidArgumentError
+from bse.errors import IncompatibleSourceError
 
 RNG = np.random.default_rng(42)
 
@@ -127,7 +127,8 @@ def test_inner_ka_kernel_and_cauchy_schwarz(disk, disk_forms):
     p = ProblemParams(K=1.0, alpha=2.0)
     kernel = CoupledField(np.full(disk.n_vertices, p.alpha), np.ones(disk.n_surface))
     rng = np.random.default_rng(6)
-    assert solver.norm_ka(disk_forms, p, CoupledField.zeros(disk)) == 0.0
+    zero = CoupledField(np.zeros(disk.n_vertices), np.zeros(disk.n_surface))
+    assert solver.norm_ka(disk_forms, p, zero) == 0.0
     for _ in range(20):
         b = CoupledField(rng.standard_normal(disk.n_vertices),
                          rng.standard_normal(disk.n_surface))
@@ -144,7 +145,7 @@ def test_inner_h0_unit_square():
     forms = assembly.assemble_basic(sq)
     ones = CoupledField(np.ones(sq.n_vertices), np.ones(sq.n_surface))
     assert solver.inner_h0(forms, ones, ones) == pytest.approx(5.0, rel=1e-13)
-    zero = CoupledField.zeros(sq)
+    zero = CoupledField(np.zeros(sq.n_vertices), np.zeros(sq.n_surface))
     assert solver.inner_h0(forms, ones, zero) == 0.0
 
 
@@ -188,21 +189,6 @@ def test_fourth_order_energy_identity(disk, disk_forms):
     energy = solver.inner_ka(disk_forms, p, rep.field, rep.field)
     pairing = solver.inner_h0(disk_forms, rep.intermediate, rep.field)
     assert energy == pytest.approx(pairing, rel=1e-10)
-
-
-def test_rescale_omega():
-    field = CoupledField(np.array([1.0, 2.0]), np.array([3.0]))
-    same = solver.rescale_omega(field, 1.0)
-    np.testing.assert_array_equal(same.u, field.u)
-    doubled = solver.rescale_omega(field, 2.0)
-    np.testing.assert_array_equal(doubled.u, [2.0, 4.0])
-    np.testing.assert_array_equal(doubled.v, [6.0])
-    back = solver.rescale_omega(doubled, 0.5)
-    np.testing.assert_allclose(back.u, field.u)
-    with pytest.raises(InvalidArgumentError):
-        solver.rescale_omega(field, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        solver.rescale_omega(field, -1.0)
 
 
 def test_autoprojection_matches_preprojected_strict_solve(disk, disk_forms):
@@ -312,4 +298,4 @@ def test_solve_report_carries_its_forms():
     for solve in (solver.solve_second, solver.solve_fourth):
         report = solve(msh, params, f, g, strict=False)
         assert report.forms.mesh is msh
-        assert solver.norm_h0(report.forms, report.field) > 0
+        assert solver.inner_h0(report.forms, report.field, report.field) > 0
