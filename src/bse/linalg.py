@@ -13,6 +13,7 @@ available on request.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,11 +172,12 @@ class ReducedSystem:
             return
         if self.c_red is None:
             raise SingularSystemError("operator has a kernel but no mean constraint was given")
-        ck = float(self.c_red @ self.k_red)
-        if abs(ck) <= 1e-12 * np.linalg.norm(self.c_red) * np.linalg.norm(self.k_red):
-            raise SingularSystemError(
-                "kernel direction is annihilated by the constraint functional "
-                f"(c.k = {ck:.3e})")
+        c, k = (np.ldexp(v, -_exponent(v)) for v in (self.c_red, self.k_red))  # no overflow
+        ck = float(c @ k)
+        if abs(ck) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(k):
+            raise SingularSystemError("kernel direction is annihilated by the constraint "
+                                      f"functional (c.k = {ck:.3e} with c and k scaled to "
+                                      "largest entries in [0.5, 1))")
 
     @functools.cached_property
     def norm_inf(self):
@@ -376,6 +378,20 @@ class JacobiConstrainedSolver(ReducedSystem):
         return x
 
 
+def _exponent(x):
+    """Binary exponent of max |x| (0 for x = 0 or a non-finite entry)."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    return math.frexp(top)[1] if math.isfinite(top) else 0
+
+
+def safe_norm(x):
+    """np.linalg.norm(x), with x scaled by a power of two first: the same bits
+    where that does not overflow, and inf without a warning where it does."""
+    e = _exponent(x)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, method="auto",
                       solver=None):
     """Solve A x = b, for a square SciPy sparse matrix A, subject to the constraint set.
@@ -404,10 +420,10 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
                      "cg": functools.partial(JacobiConstrainedSolver, tol=tol,
                                              maxiter=maxiter)}[method](a, cs)
     b_red = red.reduce_rhs(b)
-    bnorm = np.linalg.norm(b_red)
+    bnorm = safe_norm(b_red)
     if red.k_red is not None and bnorm > 0:
         kb = float(red.k_red @ b_red)
-        rel = abs(kb) / (np.linalg.norm(red.k_red) * bnorm)
+        rel = abs(kb) / (safe_norm(red.k_red) * bnorm)
         if rel > KERNEL_RHS_TOL:
             raise IncompatibleRhsError(
                 f"rhs has kernel component {rel:.3e} (tolerance {KERNEL_RHS_TOL:.1e}); "
@@ -415,8 +431,9 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
     x_red = red.solve_reduced(b_red)
     r = red.a_red @ x_red - b_red
     if red.c_red is not None:  # A x + mu c = b: the multiplier's share mu c is no error
-        r -= red.c_red * ((red.c_red @ r) / (red.c_red @ red.c_red))
-    res = float(np.linalg.norm(r) / (bnorm if bnorm > 0 else 1.0))
+        c = np.ldexp(red.c_red, -_exponent(red.c_red))  # c.c cannot overflow; same bits
+        r -= c * ((c @ r) / (c @ c))
+    res = safe_norm(r) / (bnorm if bnorm > 0 else 1.0)
     if not res <= DIRECT_RESIDUAL_TOL:
         raise SingularSystemError(f"constrained system is numerically singular: {red.method} solve "
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")

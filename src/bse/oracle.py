@@ -65,20 +65,14 @@ def _bessel_pair(m, s):
     return special.jv(m, s), special.jvp(m, s)
 
 
-def _robin_side(k_like, m, lam):
-    """Bulk Robin/Dirichlet relation K s J_m'(s) + J_m(s), s = sqrt(lam),
-    elementwise over the array ``lam``."""
+def _relation(k_like, alpha, gamma, m, lam, j, jp):
+    """Dispersion function of mode ``m`` from J_m and J_m' at s = sqrt(lam),
+    elementwise over the array ``lam``: the bulk Robin/Dirichlet relation
+    K s J_m'(s) + J_m(s) for alpha = 0, else the rationalized relation, with
+    its poles at lam = gamma m^2 removed."""
     s = np.sqrt(lam)
-    j, jp = _bessel_pair(m, s)
-    return k_like * s * jp + j
-
-
-def _dispersion(k_like, alpha, gamma, m, lam):
-    """Rationalized dispersion function, elementwise over the array ``lam``;
-    poles at lam = gamma m^2 removed."""
-    s = np.sqrt(lam)
-    j, jp = _bessel_pair(m, s)
-    return (lam - gamma * m * m) * (k_like * s * jp + j) - alpha * alpha * s * jp
+    robin = k_like * s * jp + j
+    return robin if alpha == 0.0 else (lam - gamma * m * m) * robin - alpha * alpha * s * jp
 
 
 def _coupling_residual(k_like, alpha, gamma, m, lam):
@@ -92,27 +86,28 @@ def _coupling_residual(k_like, alpha, gamma, m, lam):
     s = np.sqrt(lam)
     j, jp = _bessel_pair(m, s)
     denom = lam - gamma * m * m
+    w = max(1.0, abs(k_like), abs(alpha))  # both sides over w^2: no product overflows
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = alpha * s * jp / denom
-        lhs = k_like * s * jp + j
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(alpha * c)), 1.0)
-        res = np.abs(lhs - alpha * c) / scale
+        c = (alpha / w) * s * jp / denom
+        lhs = (k_like / w) * s * jp / w + j / w / w
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(alpha / w * c)), 1.0 / w / w)
+        res = np.abs(lhs - alpha / w * c) / scale
     return np.where(np.abs(denom) < POLE_EXCLUSION, np.inf, res)
 
 
-def _brackets(fun, m, lam_max, pole, step):
-    """Sign-change brackets (lo, hi, fun(m, lo)) of mode ``m`` on the
-    standard grid.
+def _brackets(fun, m, grid, f, lam_max, pole):
+    """Sign-change brackets (lo, hi, fun(m, lo)) of mode ``m`` from its values
+    ``f`` on the standard ``grid``.
 
-    Grid points falling inside the exclusion window of ``pole`` (None for
-    no pole) are nudged so each side of the pole is bracketed separately,
-    and the cell across the pole is no bracket.
+    The two points at the edges of the exclusion window of ``pole`` (None
+    for no pole) are added, evaluated by ``fun``, so each side of the pole is
+    bracketed separately, and the cell across the pole is no bracket.
     """
-    grid = step * np.arange(1, int(round(lam_max / step)) + 1)
     if pole is not None and 0 < pole < lam_max:
-        grid = np.sort(np.concatenate([grid, [pole - POLE_EXCLUSION, pole + POLE_EXCLUSION]]))
-    grid = grid[(grid > 0) & (grid <= lam_max)]
-    f = fun(m, grid)
+        extra = np.array([pole - POLE_EXCLUSION, pole + POLE_EXCLUSION])
+        extra = extra[(extra > 0) & (extra <= lam_max)]
+        at = np.searchsorted(grid, extra)
+        grid, f = np.insert(grid, at, extra), np.insert(f, at, fun(m, extra))
     bracket = (f[:-1] < 0) != (f[1:] < 0)
     if pole is not None:
         bracket &= ~((grid[:-1] < pole) & (pole < grid[1:]))
@@ -158,9 +153,10 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     For alpha = 0 the system decouples into bulk Robin/Dirichlet modes and
     pure surface modes at gamma m^2; for alpha != 0 the rationalized
     relation is scanned and spurious pole roots are rejected by the
-    residual of the unrationalized relation.  Each mode's relation is
-    evaluated over the whole grid at once, and the brackets of all modes
-    are bisected together.
+    residual of the unrationalized relation.  Each Bessel order is
+    evaluated over the whole grid once, for the three modes whose relations
+    use it, with J_m' = (J_{m-1} - J_{m+1}) / 2 as in ``scipy.special.jvp``;
+    the brackets of all modes are bisected together.
     """
     if not np.all(np.isfinite([k_like, alpha, gamma, lam_max, grid_step])):
         raise InvalidArgumentError("oracle parameters must be finite")
@@ -175,15 +171,19 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
         raise InvalidArgumentError(f"grid_step must be > 0, got {grid_step}")
     if lam_max > BESSEL_MAX_ARG ** 2:
         raise InvalidArgumentError(f"lam_max beyond supported Bessel range {BESSEL_MAX_ARG}^2")
-    if alpha == 0.0:
-        def fun(m, lam):
-            return _robin_side(k_like, m, lam)
-    else:
-        def fun(m, lam):
-            return _dispersion(k_like, alpha, gamma, m, lam)
+
+    def fun(m, lam):
+        return _relation(k_like, alpha, gamma, m, lam, *_bessel_pair(m, np.sqrt(lam)))
+
     modes = range(m_max + 1)
-    parts = [_brackets(fun, m, lam_max, gamma * m * m if alpha != 0.0 else None, grid_step)
-             for m in modes]
+    grid = grid_step * np.arange(1, int(round(lam_max / grid_step)) + 1)
+    grid = grid[grid <= lam_max]
+    s = np.sqrt(grid)
+    rows, parts = [None, special.jv(-1, s), special.jv(0, s)], []
+    for m in modes:  # rows J_{m-1}, J_m, J_{m+1}; J_m' is formed as scipy.special.jvp does
+        rows = rows[1:] + [special.jv(m + 1, s)]
+        f = _relation(k_like, alpha, gamma, m, grid, rows[1], (rows[0] - rows[2]) / 2)
+        parts.append(_brackets(fun, m, grid, f, lam_max, gamma * m * m if alpha != 0.0 else None))
     mode = np.repeat(np.arange(m_max + 1), [lo.size for lo, _, _ in parts])
     lams = _bisect(fun, mode, *(np.concatenate(arrays) for arrays in zip(*parts)))
     if alpha != 0.0:

@@ -40,8 +40,9 @@ class SolveReport:
     the returned solution; ``method`` names the constrained-solve path
     (``"splu"`` or ``"mg-cg"``); ``backward_error`` is the normwise
     backward error of the reduced system; ``forms`` are the basic forms the solve
-    used, for norms of the result, and ``counts`` its ``Discretization``'s.
-    For fourth-order solves ``intermediate`` holds the first stage's pair.
+    used and, for a second-order solve, ``energy`` its coupled matrix, for
+    norms of the result; ``counts`` are its ``Discretization``'s.  For
+    fourth-order solves ``intermediate`` holds the first stage's pair.
     """
 
     field: CoupledField
@@ -53,6 +54,7 @@ class SolveReport:
     method: str
     backward_error: float
     forms: BasicForms
+    energy: "scipy.sparse.csr_matrix | None" = None
     intermediate: CoupledField | None = None
     counts: dict | None = None
 
@@ -95,12 +97,12 @@ def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveR
     constant first.
     """
     disc = Discretization(mesh)
-    sol, pre, post, dmean = _solve_stage(disc, (params.K, params.alpha, params.beta, params.gamma),
-                                         f, g, strict)
+    key = (params.K, params.alpha, params.beta, params.gamma)
+    sol, pre, post, dmean = _solve_stage(disc, key, f, g, strict)
     return SolveReport(field=CoupledField.from_vector(mesh, sol.x), iterations=sol.iterations,
                        residual=sol.residual, defect_compat=pre, defect_compat_post=post,
                        defect_mean=dmean, method=sol.method, backward_error=sol.backward_error,
-                       forms=disc.forms, counts=disc.counts)
+                       forms=disc.forms, energy=disc.system(*key)[0], counts=disc.counts)
 
 
 def solve_fourth(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:

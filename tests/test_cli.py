@@ -284,10 +284,10 @@ def test_overflowing_coupling_weights_exit_2(tmp_path, task, params):
 
 @pytest.mark.parametrize("n_boundary", [8, 16])
 @pytest.mark.parametrize("l_like", [1e160, 1e300])
-def test_singular_inner_system_of_eig4_exits_3(tmp_path, l_like, n_boundary):
-    # with L this large the (L, beta) system behind B = M A_L^+ M is singular:
-    # on the coarser disk B overflows inside Lanczos, on the finer one the
-    # pencil residual shows it
+def test_singular_inner_system_of_eig4_exits_3(tmp_path, capfd, l_like, n_boundary):
+    # with L this large the (L, beta) system behind B = M A_L^+ M is singular;
+    # its checked solve before Lanczos says so, before B blows up inside
+    # ARPACK, whose LAPACK calls print to stdout (L = 1e160, n_boundary 8)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "weak.json", {
         "task": "eig4", "geometry": {"n_boundary": n_boundary}, "params": {"L": l_like},
@@ -296,8 +296,43 @@ def test_singular_inner_system_of_eig4_exits_3(tmp_path, l_like, n_boundary):
     assert cli.run(cfg) == 3
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "singular-system"
+    assert err["message"].startswith("inner (L, beta) system of B: ")
     assert "numerically singular" in err["message"]
     assert not (out / "summary.json").exists()
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("task,params,code", [
+    ("oracle", {"alpha": 1e300}, 0),
+    ("oracle", {"alpha": -1e300}, 0),
+    ("solve2", {"beta": 1e160}, 0),
+    ("solve2", {"beta": -1e300}, 0),
+    ("poincare", {"beta": 1e160}, 0),
+    ("convergence", {"beta": 1e160}, 0),
+    ("solve2", {"K": 1e300}, 3),
+    ("solve2", {"K": 1e-300}, 3),
+    ("solve4", {"L": 1e300}, 3),
+    ("solve4", {"L": 1e-300}, 3),
+    ("convergence", {"K": 1e-300}, 3),
+])
+def test_huge_and_tiny_weights_overflow_nothing(tmp_path, task, params, code):
+    # under the RuntimeWarning-as-error policy an overflow in a norm or a
+    # product would end as internal-error; a mean weight of 1e160 pairs with
+    # the kernel (c.k = 2.8e160), which is no annihilation
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "big.json", {
+        "task": task, "geometry": {"n_boundary": 8, "refine": 1 if task == "convergence" else 0},
+        "params": params, "sources": {"f": "1 - r^2/2", "g": "1", "strict_compat": False},
+        "oracle": {"m_max": 3, "lambda_max": 20.0}, "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == code
+    if code:
+        err = json.loads((out / "error.json").read_text())
+        assert err["kind"] == "singular-system"
+        # the residual is a finite number, not an overflowed norm
+        assert math.isfinite(float(err["message"].split("residual ")[1].split()[0]))
+    else:
+        assert not (out / "error.json").exists()
 
 
 @pytest.mark.parametrize("option", ["--K", "--alpha", "--gamma", "--lmax"])
@@ -648,6 +683,28 @@ def test_convergence_assembles_forms_once_per_level(tmp_path, monkeypatch):
     })
     assert cli.run(cfg) == 0
     assert len(calls) == 2
+
+
+def test_convergence_builds_and_assembles_each_level_once(tmp_path, monkeypatch):
+    # the levels are one generate_disk's parent chain, and the energy error
+    # uses the coupled matrix the level's solve assembled
+    from bse import assembly, mesh, solver
+
+    refines, coupled = [], []
+    real_refine, real_coupled = mesh._refine, assembly.assemble_coupled
+    monkeypatch.setattr(mesh, "_refine", lambda m: refines.append(m.n_vertices) or real_refine(m))
+    for module in (assembly, solver):
+        monkeypatch.setattr(module, "assemble_coupled",
+                            lambda *args: coupled.append(args[0].n_bulk) or real_coupled(*args))
+    cfg = write_config(tmp_path, "conv.json", {
+        "geometry": {"type": "disk", "n_boundary": 16, "refine": 2},
+        "params": {"K": 1.0, "alpha": 2.0, "beta": 1.0},
+        "task": "convergence",
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.run(cfg) == 0
+    assert len(refines) == 2
+    assert len(coupled) == 3 and len(set(coupled)) == 3
 
 
 def test_csv_artifacts_match_per_row_writer(tmp_path, per_row_csv):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bse import assembly, eigen, mesh, solver
+from bse import assembly, eigen, linalg, mesh, solver
 from bse.assembly import CoupledField, ProblemParams
-from bse.errors import InvalidArgumentError
+from bse.errors import InvalidArgumentError, SingularSystemError
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +298,55 @@ def test_norm_equivalence_factors_nothing(small_disk, splu_calls):
     # the dense pencil needs the reduction of the energy matrix, not its LU
     eigen.norm_equivalence_constants(small_disk, ProblemParams(K=0.0, alpha=1.5, beta=0.5))
     assert splu_calls == []
+
+
+@pytest.mark.parametrize("return_fields", [False, True])
+def test_norm_equivalence_makes_one_dense_eigensolve(small_disk, monkeypatch, return_fields):
+    # both extremes come from the one pencil (A, H1): no second reduction
+    import scipy.linalg as sla
+
+    calls = []
+    real = sla.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", counting)
+    out = eigen.norm_equivalence_constants(small_disk, ProblemParams(), return_fields=return_fields)
+    assert len(out) == (4 if return_fields else 2)
+    assert len(calls) == 1
+    assert calls[0].get("eigvals_only", False) is not return_fields
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("k_like", [0.0, 1.0])
+def test_norm_equivalence_matches_two_subset_eigensolves(k_like, refine):
+    # the computation the single eigensolve replaced: the smallest eigenvalue
+    # of (H1, A) gives B_h, that of (A, H1) gives A_h
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+
+    msh = mesh.generate_disk(16 if refine == 2 else 32, refine)
+    p = ProblemParams(K=k_like, alpha=1.0, beta=1.0)
+    a_h, b_h = eigen.norm_equivalence_constants(msh, p)
+    forms = assembly.assemble_basic(msh)
+    a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
+    red = linalg.ReducedSystem(a, assembly.build_constraints(forms, p.K, p.alpha, p.beta))
+    q = sla.null_space(red.c_red[None, :])
+    a_qq = q.T @ (red.a_red @ q)
+    h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")
+    h1_qq = q.T @ red.reduce_rhs(h1 @ red.expand(q))
+    lo = sla.eigh(h1_qq, a_qq, subset_by_index=[0, 0], eigvals_only=True)[0]
+    inv_hi = sla.eigh(a_qq, h1_qq, subset_by_index=[0, 0], eigvals_only=True)[0]
+    assert a_h == pytest.approx(np.sqrt(1.0 / inv_hi), rel=1e-12)
+    assert b_h == pytest.approx(np.sqrt(1.0 / lo), rel=1e-12)
+
+
+def test_norm_equivalence_rejects_an_indefinite_energy_matrix(small_disk, monkeypatch):
+    # H1 is factored, not the energy matrix: an indefinite one shows as a
+    # nonpositive smallest eigenvalue
+    real = assembly.assemble_coupled
+    monkeypatch.setattr(assembly, "assemble_coupled", lambda *args: -real(*args))
+    with pytest.raises(SingularSystemError, match="not positive definite"):
+        eigen.norm_equivalence_constants(small_disk, ProblemParams())

@@ -101,6 +101,30 @@ def test_degenerate_constraint_detected():
         linalg.solve_constrained(a, np.zeros(3), cs)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e160, 1e300])
+def test_kernel_pairing_is_checked_at_any_scale(scale):
+    # c.k = 3 scale pairs the kernel at every scale; c and k are scaled by
+    # powers of two to largest entries near 1 first, so |c| |k| cannot overflow
+    a = path_laplacian()
+    for kernel in (np.ones(3), np.full(3, scale)):
+        cs = ConstraintSet(n=3, points=line_points(3), mean_vector=np.full(3, scale), kernel=kernel)
+        x = linalg.solve_constrained(a, np.array([1.0, 0.0, -1.0]), cs).x
+        assert abs(x.sum()) <= 1e-12 * np.abs(x).max()
+        cs = ConstraintSet(n=3, points=line_points(3), mean_vector=scale * np.array([1.0, -2.0, 1.0]),
+                           kernel=kernel)
+        with pytest.raises(SingularSystemError, match="annihilated"):
+            linalg.solve_constrained(a, np.zeros(3), cs)
+
+
+def test_safe_norm_keeps_the_bits_and_does_not_overflow():
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(1000), 1e-3 * rng.standard_normal(7), np.zeros(3)):
+        assert linalg.safe_norm(x) == np.linalg.norm(x)
+    assert linalg.safe_norm(np.full(4, 1e300)) == 2e300
+    assert linalg.safe_norm(np.full(4, 1.5e308)) == np.inf
+    assert np.isnan(linalg.safe_norm(np.array([1.0, np.nan])))
+
+
 def test_mean_constraint_residual_invariant():
     rng = np.random.default_rng(7)
     n = 40

@@ -188,3 +188,71 @@ def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, al
     if lam_max > 144.0:
         assert roots[-1].lam > 144.0
 
+
+
+def _per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
+    """The scan with J_m and J_m' of every mode evaluated by ``_bessel_pair``
+    on that mode's grid, as before the orders were shared."""
+    def fun(m, lam):
+        return oracle._relation(k_like, alpha, gamma, m, lam, *oracle._bessel_pair(m, np.sqrt(lam)))
+
+    grid = oracle.GRID_STEP * np.arange(1, int(round(lam_max / oracle.GRID_STEP)) + 1)
+    grid = grid[grid <= lam_max]
+    roots = []
+    for m in range(m_max + 1):
+        pole = gamma * m * m if alpha != 0.0 else None
+        lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), lam_max, pole)
+        mode = np.full(lo.size, m)
+        lams = oracle._bisect(fun, mode, lo, hi, flo)
+        if alpha != 0.0:
+            lams = lams[~(oracle._coupling_residual(k_like, alpha, gamma, mode, lams) > 1e-9)]
+        mult = 1 if m == 0 else 2
+        roots += [oracle.DispersionRoot(m, lam, mult) for lam in lams.tolist()]
+        if alpha == 0.0 and 0 < gamma * m * m <= lam_max:
+            roots.append(oracle.DispersionRoot(m, gamma * m * m, mult))
+    return sorted(roots, key=lambda r: r.lam)
+
+
+@pytest.mark.parametrize("k_like,alpha,gamma,m_max,lam_max", [
+    (1.0, 0.0, 1.0, 6, 50.0),
+    (0.0, 0.0, 1.3, 5, 30.0),
+    (2.0, -1.3, 0.7, 6, 45.0),   # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
+    (1.0, 1.0, 1.0, 8, 40.0),    # poles 1, 4, ..., 36
+    (10.0, 0.5, 2.5, 3, 120.0),
+])
+def test_shared_orders_give_the_per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
+    roots = oracle.disk_eigs_second(k_like, alpha, gamma, m_max, lam_max)
+    assert roots
+    assert roots == _per_mode_roots(k_like, alpha, gamma, m_max, lam_max)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_scan_evaluates_each_order_once_over_the_grid(monkeypatch, alpha):
+    real = oracle.special.jv
+    orders = []
+
+    def counting(m, x):
+        if np.size(x) == 4000:  # the grid of lam_max = 40, step 0.01
+            orders.append(m)
+        return real(m, x)
+
+    monkeypatch.setattr(oracle.special, "jv", counting)
+    oracle.disk_eigs_second(1.0, alpha, 1.0, 8, 40.0)
+    assert orders == list(range(-1, 10))
+
+
+def test_scan_memory_does_not_grow_with_the_modes():
+    import tracemalloc
+
+    def peak(m_max):
+        tracemalloc.start()
+        try:
+            oracle.disk_eigs_second(1.0, 1.0, 1.0, m_max, 400.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4), peak(30)
+    # each grid row is 320 kB; the roots and brackets of 26 more modes are a
+    # few kB
+    assert large <= 1.05 * small + 64 * 1024, (small, large)
