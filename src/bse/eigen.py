@@ -9,8 +9,10 @@ onto the hyperplane, so every Krylov vector meets the constraint.  The
 fourth-order mass B = M A^+ M is applied through one factorized solve and
 never formed.  One direct ``assembly.Discretization`` per call factors each
 system once (eig4 with L = K and beta = alpha has one).  Requests for
-(nearly) the whole spectrum are solved densely in an orthonormal basis of
-the hyperplane.
+(nearly) the whole spectrum, and the norm-equivalence constants, are solved
+densely by ``scipy.linalg.eigh`` in an orthonormal basis of the hyperplane.
+Eigenvectors are used as ARPACK or LAPACK returns them, B-orthonormal; the
+residual and B-Gram checks of every result confirm it.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from .errors import (
     NoConvergenceError,
     SingularSystemError,
 )
-from .linalg import DIRECT_RESIDUAL_TOL, ReducedSystem, eig_dense_generalized, safe_norm
+from .linalg import DIRECT_RESIDUAL_TOL, ReducedSystem, safe_norm
 from .mesh import Mesh
 from .solver import _solve_stage
 
@@ -33,7 +35,8 @@ MIN_EIGENVALUE = 1e-12
 
 @dataclass(eq=False)
 class EigenResult:
-    """Ascending eigenvalues with orthonormalized eigenfields.
+    """Ascending eigenvalues with B-orthonormal eigenfields, as the eigensolver
+    returns them.
 
     ``residuals`` holds the per-pair relative pencil residual, ``gram_defect``
     the largest deviation of the B-Gram matrix from identity, and
@@ -53,26 +56,15 @@ class EigenResult:
     _pencil: tuple = field(repr=False, default=None)
 
 
-def _group_multiplets(w):
-    groups = []
+def _multiplicities(w):
+    """Size of the numerical multiplet of each of the ascending eigenvalues ``w``."""
+    mult = np.empty(len(w), dtype=np.int64)
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or abs(w[i] - w[start]) > MULTIPLET_REL_TOL * max(abs(w[start]), 1e-30):
-            groups.append((start, i))
+            mult[start:i] = i - start
             start = i
-    return groups
-
-
-def _orthonormalize_multiplets(w, y, b):
-    """Gram-Schmidt in the B inner product within each multiplet."""
-    for start, end in _group_multiplets(w):
-        for j in range(start, end):
-            col = y[:, j].copy()
-            for i in range(start, j):
-                col -= (y[:, i] @ (b @ col)) * y[:, i]
-            nrm = np.sqrt(col @ (b @ col))
-            y[:, j] = col / nrm
-    return y
+    return mult
 
 
 def _project(chat, r):
@@ -81,14 +73,27 @@ def _project(chat, r):
     return r - np.multiply.outer(chat, chat @ r)
 
 
-def _finalize(disc, w, y, a, b, solver, chat, method, op_applications):
+def _dense(c_red, a, apply_b, **eigh_args):
+    """q and ``scipy.linalg.eigh(**eigh_args)`` of the pencil (A, B) in the
+    orthonormal basis q of the hyperplane c.x = 0, B applied by ``apply_b``.
+    LAPACK reads one triangle: a B symmetric to roundoff needs no symmetrizing."""
+    import scipy.linalg as sla
+
+    q = sla.null_space(c_red[None, :])
+    try:
+        return q, sla.eigh(q.T @ (a @ q), q.T @ apply_b(q), **eigh_args)
+    except np.linalg.LinAlgError as exc:  # B not positive definite, or no convergence
+        raise SingularSystemError(f"dense eigensolve failed ({exc}): the pencil is "
+                                  "numerically singular") from None
+
+
+def _finalize(disc, w, y, a, apply_b, solver, chat, method, op_applications):
     if w[0] <= MIN_EIGENVALUE:
         raise SingularSystemError(
             f"smallest computed eigenvalue {w[0]:.3e} is not strictly positive; "
             "the constrained pencil is numerically singular")
-    y = _orthonormalize_multiplets(w, y, b)
     ay = a @ y
-    by = b @ y
+    by = apply_b(y)
     # A y - lambda B y is a multiple of c (the Lagrange multiplier of the
     # constraint): residuals are measured on the hyperplane
     residuals = (np.linalg.norm(_project(chat, ay - by * w[None, :]), axis=0)
@@ -98,14 +103,11 @@ def _finalize(disc, w, y, a, b, solver, chat, method, op_applications):
                                   f"{DIRECT_RESIDUAL_TOL:.0e}: the pencil is numerically singular")
     gram = y.T @ by
     gram_defect = float(np.max(np.abs(gram - np.eye(len(w)))))
-    mult = np.empty(len(w), dtype=np.int64)
-    for start, end in _group_multiplets(w):
-        mult[start:end] = end - start
     full = solver.expand(y)
     fields = [CoupledField.from_vector(disc.mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
-                       gram_defect=gram_defect, multiplicities=mult, method=method,
-                       op_applications=op_applications, counts=disc.counts, _pencil=(a, b, y, chat))
+                       gram_defect=gram_defect, multiplicities=_multiplicities(w), method=method,
+                       op_applications=op_applications, counts=disc.counts, _pencil=(a, apply_b, y, chat))
 
 
 @np.errstate(over="raise", invalid="raise")  # B of a singular inner system of eig4 overflows
@@ -114,7 +116,6 @@ def _smallest(disc, solver, b_apply, k):
     full-space map ``b_apply`` on its constrained space, by shift-invert
     Lanczos in ``solver``'s reduced coordinates with its factorization as
     the inverse."""
-    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     n = solver.n_red
@@ -126,15 +127,9 @@ def _smallest(disc, solver, b_apply, k):
     def apply_b(x):  # R^T B R through r alone: the result's B keeps no factorization
         return b_apply(x) if r is None else r.T @ b_apply(r @ x)
 
-    b = spla.LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
-    if k >= n - 2:
-        # beyond ARPACK (k < dim - 1 on the hyperplane of dim n - 1): the
-        # same pencil, solved densely in an orthonormal basis q of the
-        # hyperplane; the solves behind B leave it symmetric only to roundoff
-        q = sla.null_space(solver.c_red[None, :])
-        b_qq = q.T @ (b @ q)
-        w, v = eig_dense_generalized(q.T @ (a @ q), 0.5 * (b_qq + b_qq.T), k)
-        return _finalize(disc, w, q @ v, a, b, solver, chat, "dense", 0)
+    if k >= n - 2:  # beyond ARPACK: k < dim - 1 on the hyperplane of dim n - 1
+        q, (w, v) = _dense(solver.c_red, a, apply_b, subset_by_index=[0, k - 1])
+        return _finalize(disc, w, q @ v, a, apply_b, solver, chat, "dense", 0)
     solves = 0
 
     def solve(x):
@@ -158,7 +153,7 @@ def _smallest(disc, solver, b_apply, k):
                           M=spla.LinearOperator((n, n), matvec=apply_m, dtype=float),
                           OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
         order = np.argsort(w)
-        return _finalize(disc, w[order], y[:, order], a, b, solver, chat, "arpack", solves)
+        return _finalize(disc, w[order], y[:, order], a, apply_b, solver, chat, "arpack", solves)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(f"Lanczos did not converge: {exc}") from None
     except (spla.ArpackError, FloatingPointError) as exc:
@@ -224,23 +219,23 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     With ``return_fields`` the two extremal eigenfields (attaining each
     inequality with equality) are appended to the result.
     """
-    import scipy.linalg as sla
     import scipy.sparse as sp
 
     disc = Discretization(mesh, direct=True)
     forms = disc.forms
     red = ReducedSystem(*disc.system(params.K, params.alpha, params.beta, params.gamma))
-    q = sla.null_space(red.c_red[None, :])
-    a_qq = q.T @ (red.a_red @ q)
     h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")
-    h1_qq = q.T @ red.reduce_rhs(h1 @ red.expand(q))
+
+    def apply_h1(x):
+        return red.reduce_rhs(h1 @ red.expand(x))
+
     # H1 is SPD, so its Cholesky factor reduces the pencil; an energy matrix that
     # is not positive definite shows as w[0] <= 0.  Without vectors LAPACK's
     # sygv is faster than the default sygvd (0.08 against 0.11 s at n = 832)
     if return_fields:
-        w, v = sla.eigh(a_qq, h1_qq)
+        q, (w, v) = _dense(red.c_red, red.a_red, apply_h1)
     else:
-        w = sla.eigh(a_qq, h1_qq, eigvals_only=True, driver="gv")
+        q, w = _dense(red.c_red, red.a_red, apply_h1, eigvals_only=True, driver="gv")
     if not w[0] > 0:
         raise SingularSystemError("energy matrix is not positive definite on the "
                                   f"constrained subspace (smallest eigenvalue {w[0]:.3e})")
@@ -267,14 +262,14 @@ def minimax_check(result: EigenResult, trials: int, seed=0) -> float:
     worst = 0.0
     for j in range(len(w)):
         yj = y[:, j]
-        q = float(yj @ (a @ yj)) / float(yj @ (b @ yj))
+        q = float(yj @ (a @ yj)) / float(yj @ b(yj))
         worst = max(worst, abs(q - w[j]) / max(abs(w[j]), 1e-30))
         prev = y[:, :j]
-        bprev = b @ prev if j else None
+        bprev = b(prev) if j else None
         for _ in range(trials):
             v = _project(chat, rng.standard_normal(a.shape[0]))
             if j:
                 v = v - prev @ (bprev.T @ v)
-            q = float(v @ (a @ v)) / float(v @ (b @ v))
+            q = float(v @ (a @ v)) / float(v @ b(v))
             worst = max(worst, (w[j] - q) / max(abs(w[j]), 1e-30))
     return worst

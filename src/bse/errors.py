@@ -71,8 +71,3 @@ class IncompatibleRhsError(BseError):
 class NoConvergenceError(BseError):
     kind = "no-convergence"
     exit_code = 3
-
-
-class NotPositiveDefiniteError(BseError):
-    kind = "not-positive-definite"
-    exit_code = 3

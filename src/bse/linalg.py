@@ -1,4 +1,4 @@
-"""Sparse symmetric matrices, constrained solves, dense generalized eigensolver.
+"""Sparse symmetric matrices and constrained solves.
 
 The constrained solve handles symmetric positive-semidefinite systems whose
 kernel is a single known direction: the system is reduced by an elimination
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (
@@ -25,7 +24,6 @@ from .errors import (
     IncompatibleRhsError,
     InvalidArgumentError,
     NoConvergenceError,
-    NotPositiveDefiniteError,
     SingularSystemError,
 )
 
@@ -439,25 +437,3 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
     return ConstrainedSolution(red.expand(x_red), red.iterations, res, red.method,
                                red.backward_error(x_red, b_red))
-
-
-def eig_dense_generalized(a, m, k):
-    """Smallest k eigenpairs of A v = lambda M v (A symmetric, M SPD).
-
-    Returns eigenvalues ascending and M-orthonormal eigenvectors as columns.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or m.shape != (n, n):
-        raise DimensionMismatchError("A and M must be square and of equal size")
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
-    try:
-        return sla.eigh(a, m, subset_by_index=[0, k - 1])
-    except np.linalg.LinAlgError as exc:
-        # LAPACK reports a failed Cholesky factorization of M this way; any
-        # other failure (no convergence) is not a property of M
-        if "positive definite" not in str(exc):
-            raise
-        raise NotPositiveDefiniteError(f"M is not positive definite: {exc}") from None

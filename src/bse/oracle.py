@@ -8,7 +8,6 @@ circle spectra for the decoupled case, and a manufactured solution family
 for convergence studies.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -17,14 +16,14 @@ from scipy import special
 
 from .errors import InvalidArgumentError
 
-log = logging.getLogger(__name__)
-
 BESSEL_MAX_ORDER = 30
 BESSEL_MAX_ARG = 200.0
 GRID_STEP = 0.01
 ROOT_TOL = 1e-12
 POLE_EXCLUSION = 1e-9
-RESIDUAL_TOL = 1e-9
+# mode 0 alone is also scanned at these multiples of the grid step: its first root, near
+# (2 + alpha^2) / K, lies below the grid for K > ~200 (J_m of high orders underflows there)
+SUBGRID = 10.0 ** np.arange(-6, 0)
 
 
 def _check_order(name, m, upper):
@@ -75,42 +74,24 @@ def _relation(k_like, alpha, gamma, m, lam, j, jp):
     return robin if alpha == 0.0 else (lam - gamma * m * m) * robin - alpha * alpha * s * jp
 
 
-def _coupling_residual(k_like, alpha, gamma, m, lam):
-    """Residual of the unrationalized Robin/Dirichlet relation, elementwise
-    over the array ``lam``.
-
-    The surface amplitude is recovered from the surface equation; at a pole
-    of that expression the relation cannot hold for alpha != 0, which is
-    what rejects spurious rationalization roots.
-    """
-    s = np.sqrt(lam)
-    j, jp = _bessel_pair(m, s)
-    denom = lam - gamma * m * m
-    w = max(1.0, abs(k_like), abs(alpha))  # both sides over w^2: no product overflows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (alpha / w) * s * jp / denom
-        lhs = (k_like / w) * s * jp / w + j / w / w
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(alpha / w * c)), 1.0 / w / w)
-        res = np.abs(lhs - alpha / w * c) / scale
-    return np.where(np.abs(denom) < POLE_EXCLUSION, np.inf, res)
-
-
-def _brackets(fun, m, grid, f, lam_max, pole):
+def _brackets(fun, m, grid, f, lam_max, pole, grid_step):
     """Sign-change brackets (lo, hi, fun(m, lo)) of mode ``m`` from its values
-    ``f`` on the standard ``grid``.
+    ``f`` on the standard ``grid`` of step ``grid_step``.
 
-    The two points at the edges of the exclusion window of ``pole`` (None
-    for no pole) are added, evaluated by ``fun``, so each side of the pole is
-    bracketed separately, and the cell across the pole is no bracket.
+    Points evaluated by ``fun`` are added: the SUBGRID points for mode 0, and
+    the two at the edges of the exclusion window of ``pole`` (0 for no pole),
+    so each side of the pole is bracketed separately, and the cell across the
+    pole is no bracket.
     """
-    if pole is not None and 0 < pole < lam_max:
+    extra = grid_step * SUBGRID if m == 0 else np.empty(0)
+    if 0 < pole < lam_max:
         extra = np.array([pole - POLE_EXCLUSION, pole + POLE_EXCLUSION])
-        extra = extra[(extra > 0) & (extra <= lam_max)]
+    extra = extra[(extra > 0) & (extra <= lam_max)]
+    if extra.size:
         at = np.searchsorted(grid, extra)
         grid, f = np.insert(grid, at, extra), np.insert(f, at, fun(m, extra))
     bracket = (f[:-1] < 0) != (f[1:] < 0)
-    if pole is not None:
-        bracket &= ~((grid[:-1] < pole) & (pole < grid[1:]))
+    bracket &= ~((grid[:-1] < pole) & (pole < grid[1:]))
     return grid[:-1][bracket], grid[1:][bracket], f[:-1][bracket]
 
 
@@ -152,11 +133,13 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
 
     For alpha = 0 the system decouples into bulk Robin/Dirichlet modes and
     pure surface modes at gamma m^2; for alpha != 0 the rationalized
-    relation is scanned and spurious pole roots are rejected by the
-    residual of the unrationalized relation.  Each Bessel order is
-    evaluated over the whole grid once, for the three modes whose relations
-    use it, with J_m' = (J_{m-1} - J_{m+1}) / 2 as in ``scipy.special.jvp``;
-    the brackets of all modes are bisected together.
+    relation is scanned.  Away from its pole gamma m^2, whose window no bracket
+    spans, it is the coupled relation K s J' + J = alpha^2 s J' / (lam - gamma m^2)
+    times a nonzero factor, so every root it has is genuine.  Mode 0 is also
+    scanned below the grid.  Each Bessel order is evaluated over the whole grid
+    once, for the three modes whose relations use it, with
+    J_m' = (J_{m-1} - J_{m+1}) / 2 as in ``scipy.special.jvp``; the brackets of
+    all modes are bisected together.
     """
     if not np.all(np.isfinite([k_like, alpha, gamma, lam_max, grid_step])):
         raise InvalidArgumentError("oracle parameters must be finite")
@@ -183,14 +166,9 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     for m in modes:  # rows J_{m-1}, J_m, J_{m+1}; J_m' is formed as scipy.special.jvp does
         rows = rows[1:] + [special.jv(m + 1, s)]
         f = _relation(k_like, alpha, gamma, m, grid, rows[1], (rows[0] - rows[2]) / 2)
-        parts.append(_brackets(fun, m, grid, f, lam_max, gamma * m * m if alpha != 0.0 else None))
+        parts.append(_brackets(fun, m, grid, f, lam_max, gamma * m * m if alpha else 0.0, grid_step))
     mode = np.repeat(np.arange(m_max + 1), [lo.size for lo, _, _ in parts])
     lams = _bisect(fun, mode, *(np.concatenate(arrays) for arrays in zip(*parts)))
-    if alpha != 0.0:
-        spurious = _coupling_residual(k_like, alpha, gamma, mode, lams) > RESIDUAL_TOL
-        for m, lam in zip(mode[spurious].tolist(), lams[spurious].tolist()):
-            log.debug("rejected spurious root m=%d lam=%.12g", m, lam)
-        mode, lams = mode[~spurious], lams[~spurious]
     roots = []
     for m in modes:
         mult = 1 if m == 0 else 2

@@ -9,7 +9,7 @@ import scipy.special
 # factorization below is not one of the program's
 from scipy.sparse.linalg import splu as _splu
 
-from bse import linalg
+from bse import linalg, oracle
 from bse import mesh as meshmod
 
 
@@ -217,8 +217,8 @@ def _scalar_bisect(fun, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _scalar_scan(fun, lam_max, exclude, step):
-    grid = [step * i for i in range(1, int(round(lam_max / step)) + 1)]
+def _scalar_scan(fun, lam_max, exclude, step, below=()):
+    grid = [step * i for i in range(1, int(round(lam_max / step)) + 1)] + list(below)
     for p in exclude:
         if 0 < p < lam_max:
             grid.extend([p - 1e-9, p + 1e-9])
@@ -242,28 +242,20 @@ def _scalar_disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=0.0
         s = math.sqrt(lam)
         return (lam - gamma * m * m) * robin(m, s) - alpha * alpha * s * _scalar_bessel_jp(m, s)
 
-    def residual(m, lam):
-        s = math.sqrt(lam)
-        denom = lam - gamma * m * m
-        if abs(denom) < 1e-9:
-            return math.inf
-        c = alpha * s * _scalar_bessel_jp(m, s) / denom
-        lhs = robin(m, s)
-        return abs(lhs - alpha * c) / max(abs(lhs), abs(alpha * c), 1.0)
-
     roots = []
     for m in range(m_max + 1):
         mult = 1 if m == 0 else 2
+        # mode 0 is also scanned below the grid, at the oracle's SUBGRID points
+        below = [grid_step * x for x in oracle.SUBGRID.tolist()] if m == 0 else ()
         if alpha == 0.0:
             roots += [(m, lam, mult) for lam in _scalar_scan(
-                lambda lam: robin(m, math.sqrt(lam)), lam_max, (), grid_step)]
+                lambda lam: robin(m, math.sqrt(lam)), lam_max, (), grid_step, below)]
             if 0 < gamma * m * m <= lam_max:
                 roots.append((m, gamma * m * m, mult))
             continue
         pole = gamma * m * m
         roots += [(m, lam, mult) for lam in _scalar_scan(
-            lambda lam: dispersion(m, lam), lam_max, (pole,) if pole > 0 else (), grid_step)
-            if not residual(m, lam) > 1e-9]
+            lambda lam: dispersion(m, lam), lam_max, (pole,) if pole > 0 else (), grid_step, below)]
     return sorted(roots, key=lambda r: r[1])
 
 

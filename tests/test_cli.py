@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bse import cli
+from bse import cli, mesh
 from bse.errors import InvalidArgumentError
 
 
@@ -300,6 +300,29 @@ def test_singular_inner_system_of_eig4_exits_3(tmp_path, capfd, l_like, n_bounda
     assert "numerically singular" in err["message"]
     assert not (out / "summary.json").exists()
     assert capfd.readouterr().out == ""
+
+
+def test_failed_dense_eigensolve_is_a_singular_system(tmp_path, monkeypatch):
+    # k = n - 1 takes the dense branch; LAPACK's LinAlgError there (B not
+    # positive definite, or no convergence) is a numerically singular pencil,
+    # not an internal error
+    import scipy.linalg
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("the leading minor of order 3 is not positive")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    msh = mesh.generate_disk(8, 0)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "dense.json", {
+        "task": "eig2", "geometry": {"n_boundary": 8, "refine": 0},
+        "eig": {"k": msh.n_vertices + msh.n_surface - 1}, "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "singular-system"
+    assert err["message"].startswith("dense eigensolve failed (the leading minor")
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("task,params,code", [

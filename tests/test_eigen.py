@@ -50,19 +50,44 @@ def test_rayleigh_identity_per_pair(disk):
         assert energy == pytest.approx(lam * mass, rel=1e-12)
 
 
-def test_eigenvalues_sorted_positive_orthonormal(disk):
-    p = ProblemParams(K=0.0, alpha=1.0, gamma=1.0)
-    res = eigen.eig_second(disk, p, k=8)
+def _check_sorted_positive_orthonormal(msh, p, fourth=False, residual_tol=1e-10):
+    res = (eigen.eig_fourth if fourth else eigen.eig_second)(msh, p, k=8)
     assert np.all(np.diff(res.eigenvalues) >= -1e-14)
     assert res.eigenvalues[0] > 1e-12
     assert res.gram_defect <= 1e-8
-    assert res.residuals.max() <= 1e-10
-    forms = assembly.assemble_basic(disk)
+    assert res.residuals.max() <= residual_tol
+    if fourth:  # B = M A_L^+ M: the gram defect is the B-orthonormality
+        return
+    forms = assembly.assemble_basic(msh)
     # mass-orthonormality across all computed pairs, including multiplets
     for i, fi in enumerate(res.fields):
         for j, fj in enumerate(res.fields):
             expect = 1.0 if i == j else 0.0
             assert solver.inner_h0(forms, fi, fj) == pytest.approx(expect, abs=1e-10)
+
+
+def test_eigenvalues_sorted_positive_orthonormal(disk):
+    _check_sorted_positive_orthonormal(disk, ProblemParams(K=0.0, alpha=1.0, gamma=1.0))
+
+
+@pytest.mark.parametrize("fourth, refine, params, residual_tol", [
+    (False, 3, {}, 1e-10),
+    (False, 4, {}, 1e-10),
+    (True, 3, {}, 1e-10),
+    (True, 4, {}, 1e-10),
+    # the pencil of a tiny Robin weight is nearly singular: its residuals are
+    # about 2e-7, inside the DIRECT_RESIDUAL_TOL that every eigensolve checks
+    (False, 1, {"K": 1e-9}, 1e-6),
+    (False, 1, {"alpha": 100.0, "gamma": 1e3}, 1e-10),
+    (True, 1, {"L": 1e-6}, 1e-10),
+    (True, 1, {"gamma": 1e-3}, 1e-10),
+])
+def test_hard_cases_sorted_positive_orthonormal(fourth, refine, params, residual_tol):
+    # the eigenvectors are used as ARPACK returns them, with no
+    # re-orthonormalization: they stay B-orthonormal on fine meshes, with
+    # tiny and large weights, for both pencils
+    p = ProblemParams(**{"K": 0.0, "alpha": 1.0, "gamma": 1.0, **params})
+    _check_sorted_positive_orthonormal(mesh.generate_disk(32, refine), p, fourth, residual_tol)
 
 
 def test_eigenfields_satisfy_mean_constraint(disk):

@@ -11,7 +11,6 @@ from bse.errors import (
     IncompatibleRhsError,
     InvalidArgumentError,
     NoConvergenceError,
-    NotPositiveDefiniteError,
     SingularSystemError,
 )
 from bse.linalg import ConstraintSet, CsrMatrix
@@ -224,54 +223,6 @@ def test_mean_constraint_without_kernel_uses_bordered_path(dense_bordered_solve)
     assert abs(np.sum(sol.x)) <= 1e-13
     with pytest.raises(InvalidArgumentError):
         linalg.solve_constrained(a, np.array([1.0, 3.0]), cs, method="cg")
-
-
-def test_eig_dense_generalized_basics():
-    w, v = linalg.eig_dense_generalized(np.diag([2.0, 3.0]), np.eye(2), 2)
-    np.testing.assert_allclose(w, [2.0, 3.0], atol=1e-12)
-    w, v = linalg.eig_dense_generalized(np.eye(2), np.diag([4.0, 1.0]), 2)
-    np.testing.assert_allclose(w, [0.25, 1.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(v[:, 0]), [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(v[:, 1]), [0.0, 1.0], atol=1e-12)
-    m = np.array([[2.0, 0.5], [0.5, 1.0]])
-    w, _ = linalg.eig_dense_generalized(m, m, 2)
-    np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-12)
-
-
-def test_eig_dense_generalized_m_orthonormal():
-    rng = np.random.default_rng(3)
-    n = 30
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a = q @ np.diag(rng.uniform(1, 10, n)) @ q.T
-    m = q @ np.diag(rng.uniform(0.5, 2, n)) @ q.T
-    w, v = linalg.eig_dense_generalized(a, m, 10)
-    gram = v.T @ m @ v
-    np.testing.assert_allclose(gram, np.eye(10), atol=1e-10)
-    for i in range(10):
-        r = a @ v[:, i] - w[i] * (m @ v[:, i])
-        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(a, 2)
-
-
-def test_eig_congruence_invariance():
-    rng = np.random.default_rng(11)
-    n = 50
-    a = rng.standard_normal((n, n))
-    a = a + a.T
-    m = np.eye(n) + 0.1 * (lambda b: b @ b.T)(rng.standard_normal((n, n)))
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    w1, _ = linalg.eig_dense_generalized(a, m, 8)
-    w2, _ = linalg.eig_dense_generalized(q.T @ a @ q, q.T @ m @ q, 8)
-    np.testing.assert_allclose(w1, w2, rtol=1e-10, atol=1e-10)
-
-
-def test_eig_not_positive_definite():
-    with pytest.raises(NotPositiveDefiniteError):
-        linalg.eig_dense_generalized(np.eye(2), np.diag([1.0, -1.0]), 1)
-
-
-def test_eig_k_validation():
-    with pytest.raises(InvalidArgumentError):
-        linalg.eig_dense_generalized(np.eye(2), np.eye(2), 3)
 
 
 def test_factorized_solver_matches_single_solves(dense_bordered_solve):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from bse import oracle
 from bse.errors import InvalidArgumentError
@@ -178,6 +179,9 @@ def test_disk_eigs_validation():
     (2.0, -1.3, 0.7, 6, 45.0, 0.01),    # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
     (1.0, 2.0, 0.3, 6, 30.0, 0.01),
     (1.0, 1.0, 1.0, 3, 400.0, 0.25),    # sqrt(lam) > 12
+    (1.0, 1e-3, 1.0, 4, 30.0, 0.01),    # roots close to the poles m^2
+    (1.0, 1e3, 1.0, 4, 30.0, 0.01),     # roots close to the zeros of J_m'
+    (1e8, 1.0, 1.0, 4, 30.0, 0.01),     # mode 0's first root 3e-8, below the grid
 ])
 def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, alpha, gamma,
                                              m_max, lam_max, step):
@@ -200,12 +204,9 @@ def _per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
     grid = grid[grid <= lam_max]
     roots = []
     for m in range(m_max + 1):
-        pole = gamma * m * m if alpha != 0.0 else None
-        lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), lam_max, pole)
-        mode = np.full(lo.size, m)
-        lams = oracle._bisect(fun, mode, lo, hi, flo)
-        if alpha != 0.0:
-            lams = lams[~(oracle._coupling_residual(k_like, alpha, gamma, mode, lams) > 1e-9)]
+        pole = gamma * m * m if alpha != 0.0 else 0.0
+        lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), lam_max, pole, oracle.GRID_STEP)
+        lams = oracle._bisect(fun, np.full(lo.size, m), lo, hi, flo)
         mult = 1 if m == 0 else 2
         roots += [oracle.DispersionRoot(m, lam, mult) for lam in lams.tolist()]
         if alpha == 0.0 and 0 < gamma * m * m <= lam_max:
@@ -256,3 +257,71 @@ def test_scan_memory_does_not_grow_with_the_modes():
     # each grid row is 320 kB; the roots and brackets of 26 more modes are a
     # few kB
     assert large <= 1.05 * small + 64 * 1024, (small, large)
+
+
+def _brentq_roots(k_like, alpha, gamma, m_max, lam_max, step=0.01):
+    """Roots (m, lam, multiplicity) of the rationalized relation, or for
+    alpha = 0 of the Robin relation plus the surface modes, from sign changes
+    on the grid refined by Brent's method: no pole window and no filter."""
+    grid = step * np.arange(1, int(round(lam_max / step)) + 1)
+    roots = []
+    for m in range(m_max + 1):
+        def fun(lam, m=m):
+            s = np.sqrt(lam)
+            robin = k_like * s * special.jvp(m, s) + special.jv(m, s)
+            return robin if alpha == 0.0 else (
+                (lam - gamma * m * m) * robin - alpha * alpha * s * special.jvp(m, s))
+
+        vals = fun(grid)
+        roots += [(m, optimize.brentq(fun, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
+                  for i in np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))]
+        if alpha == 0.0 and 0 < gamma * m * m <= lam_max:
+            roots.append((m, gamma * m * m))
+    return sorted((m, lam, 1 if m == 0 else 2) for m, lam in roots)
+
+
+@pytest.mark.parametrize("k_like,alpha,m_max,lam_max", [
+    (1.0, 1.0, 6, 60.0),
+    (1.0, 30.0, 6, 60.0),
+    (1.0, 1e3, 6, 60.0),      # roots near the zeros of J_m'
+    (1.0, 1e6, 6, 60.0),
+    (1e8, 1.0, 6, 60.0),
+    (1.0, 1e-3, 4, 30.0),     # roots near the poles m^2
+    (1.0, 1e-5, 4, 30.0),
+    (0.0, 1e3, 6, 60.0),
+    (1.0, 1e300, 8, 60.0),    # alpha^2 overflows: the zeros of J_m'
+    (1e3, 0.1, 6, 60.0),
+])
+def test_every_root_of_the_relation_is_returned(k_like, alpha, m_max, lam_max):
+    # the rationalized relation is the coupled one times a nonzero factor away
+    # from its poles, so no root it has is spurious
+    roots = sorted((r.m, r.lam, r.multiplicity)
+                   for r in oracle.disk_eigs_second(k_like, alpha, 1.0, m_max, lam_max)
+                   if r.lam >= oracle.GRID_STEP)
+    expected = _brentq_roots(k_like, alpha, 1.0, m_max, lam_max)
+    assert [(m, mult) for m, _, mult in roots] == [(m, mult) for m, _, mult in expected]
+    np.testing.assert_allclose([lam for _, lam, _ in roots], [lam for _, lam, _ in expected],
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k_like,alpha", [(1e3, 0.1), (1e8, 1.0), (1e5, 0.0)])
+def test_mode_zero_root_below_the_grid(k_like, alpha):
+    # near 0 mode 0's relation is about lam (1 + alpha^2/2 - K lam/2): its
+    # first root (2 + alpha^2)/K lies below the grid step for K above ~200
+    first = oracle.disk_eigs_second(k_like, alpha, 1.0, 4, 10.0)[0]
+    assert first.m == 0 and first.lam < oracle.GRID_STEP
+    assert first.lam == pytest.approx((2.0 + alpha * alpha) / k_like, rel=1e-3)
+    fine = oracle.disk_eigs_second(k_like, alpha, 1.0, 0, 2 * first.lam, grid_step=first.lam / 20)[0]
+    assert abs(first.lam - fine.lam) <= 1e-11
+
+
+@pytest.mark.parametrize("k_like,alpha", [(1.0, 30.0), (1.0, 1e-3), (0.0, 1e3)])
+def test_refine2_eig2_matches_the_oracle(k_like, alpha):
+    from bse import eigen, mesh
+    from bse.assembly import ProblemParams
+
+    w = eigen.eig_second(mesh.generate_disk(64, 2), ProblemParams(K=k_like, alpha=alpha), 12).eigenvalues
+    ref = [r.lam for r in oracle.disk_eigs_second(k_like, alpha, 1.0, 12, 1.5 * w[-1])
+           for _ in range(r.multiplicity)]
+    assert len(ref) >= 12
+    np.testing.assert_allclose(w, ref[:12], rtol=6e-3)
