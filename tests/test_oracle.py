@@ -8,57 +8,6 @@ from bse import oracle
 from bse.errors import InvalidArgumentError
 
 
-def test_bessel_at_zero():
-    assert oracle.bessel_j(0, 0.0) == 1.0
-    assert oracle.bessel_j(1, 0.0) == 0.0
-    assert oracle.bessel_j(7, 0.0) == 0.0
-
-
-def test_bessel_first_j0_zero():
-    # bisection on the evaluated J_0, cross-checked against the known value
-    lo, hi = 2.0, 3.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if oracle.bessel_j(0, lo) * oracle.bessel_j(0, mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    assert root == pytest.approx(2.404825557695773, abs=1e-12)
-
-
-def test_bessel_three_term_recurrence():
-    for m in range(1, 12):
-        for x in np.linspace(0.5, 60.0, 25):
-            lhs = oracle.bessel_j(m - 1, x) + oracle.bessel_j(m + 1, x)
-            rhs = (2.0 * m / x) * oracle.bessel_j(m, x)
-            assert abs(lhs - rhs) <= 1e-10
-
-
-def test_bessel_against_scipy(bessel_reference):
-    # SciPy-backed values against 40-digit mpmath literals
-    for m, x, j, jp in bessel_reference:
-        assert abs(oracle.bessel_j(m, x) - j) <= 1e-14
-        assert abs(oracle.bessel_j_prime(m, x) - jp) <= 1e-14
-
-
-def test_bessel_range_validation():
-    with pytest.raises(InvalidArgumentError):
-        oracle.bessel_j(-1, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        oracle.bessel_j(31, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        oracle.bessel_j(0, -0.5)
-    with pytest.raises(InvalidArgumentError):
-        oracle.bessel_j(0, 201.0)
-    # the order is an integer, never truncated: J_2.5 is not J_2, True is not 1
-    for m in (2.5, True, 2.0):
-        for fun in (oracle.bessel_j, oracle.bessel_j_prime):
-            with pytest.raises(InvalidArgumentError, match="order"):
-                fun(m, 1.0)
-    assert oracle.bessel_j(np.int64(2), 1.0) == oracle.bessel_j(2, 1.0)
-
-
 def test_decoupled_dirichlet_roots():
     roots = oracle.disk_eigs_second(0.0, 0.0, 1.0, m_max=2, lam_max=10.0)
     lams = [r.lam for r in roots]
@@ -76,8 +25,8 @@ def test_robin_roots_satisfy_relations():
         assert all(r.lam > 0 for r in roots)
         for r in roots:
             s = math.sqrt(r.lam)
-            jm = oracle.bessel_j(r.m, s)
-            jp = oracle.bessel_j_prime(r.m, s)
+            jm = special.jv(r.m, s)
+            jp = special.jvp(r.m, s)
             denom = r.lam - r.m ** 2
             if alpha == 0.0 and abs(denom) < 1e-8:
                 continue  # pure surface mode: u = 0, relations trivial
@@ -110,9 +59,8 @@ def test_mode_constraint_conservation():
     w = 0.5 * weights
     for root in roots:
         s = math.sqrt(root.lam)
-        bulk = 2.0 * math.pi * np.sum(w * r * np.array(
-            [oracle.bessel_j(0, float(s * ri)) for ri in r]))
-        c = alpha * s * oracle.bessel_j_prime(0, s) / root.lam
+        bulk = 2.0 * math.pi * np.sum(w * r * special.jv(0, s * r))
+        c = alpha * s * special.jvp(0, s) / root.lam
         surf = 2.0 * math.pi * c
         scale = max(abs(bulk), abs(surf), 1.0)
         assert abs(alpha * bulk + surf) <= 1e-8 * scale
@@ -162,9 +110,12 @@ def test_disk_eigs_validation():
         oracle.disk_eigs_second(1.0, 1.0, 0.0, 2, 10.0)
     with pytest.raises(InvalidArgumentError):
         oracle.disk_eigs_second(1.0, 1.0, 1.0, -1, 10.0)
-    for m_max in (2.7, True):
+    # the order bound is an integer, never truncated: 2.0 is not 2, True is not 1
+    for m_max in (2.7, 2.0, True):
         with pytest.raises(InvalidArgumentError, match="m_max"):
             oracle.disk_eigs_second(1.0, 1.0, 1.0, m_max, 10.0)
+    assert (oracle.disk_eigs_second(1.0, 1.0, 1.0, np.int64(2), 10.0)
+            == oracle.disk_eigs_second(1.0, 1.0, 1.0, 2, 10.0))
     for step in (0.0, -0.01):
         with pytest.raises(InvalidArgumentError, match="grid_step"):
             oracle.disk_eigs_second(1.0, 1.0, 1.0, 2, 10.0, grid_step=step)
@@ -176,19 +127,22 @@ def test_disk_eigs_validation():
     (0.0, 1.0, 1.0, 8, 40.0, 0.01),
     (1.0, 0.0, 1.0, 6, 50.0, 0.01),     # decoupled: Robin roots plus surface modes
     (0.0, 0.0, 1.3, 5, 30.0, 0.01),     # decoupled Dirichlet
-    (2.0, -1.3, 0.7, 6, 45.0, 0.01),    # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
+    (2.0, -1.3, 0.7, 6, 45.0, 0.01),    # gamma m^2 at 0.7, 2.8, ..., 25.2 in range
     (1.0, 2.0, 0.3, 6, 30.0, 0.01),
     (1.0, 1.0, 1.0, 3, 400.0, 0.25),    # sqrt(lam) > 12
-    (1.0, 1e-3, 1.0, 4, 30.0, 0.01),    # roots close to the poles m^2
+    (1.0, 1e-3, 1.0, 4, 30.0, 0.01),    # roots close to the surface modes m^2
     (1.0, 1e3, 1.0, 4, 30.0, 0.01),     # roots close to the zeros of J_m'
     (1e8, 1.0, 1.0, 4, 30.0, 0.01),     # mode 0's first root 3e-8, below the grid
 ])
 def test_vectorized_scan_matches_scalar_scan(scalar_disk_eigs_second, k_like, alpha, gamma,
                                              m_max, lam_max, step):
+    # the scalar scan bisects to a width of 1e-12, the vectorized one to adjacent doubles
     roots = oracle.disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=step)
     expected = scalar_disk_eigs_second(k_like, alpha, gamma, m_max, lam_max, grid_step=step)
     assert expected
-    assert [(r.m, r.lam, r.multiplicity) for r in roots] == expected
+    assert [(r.m, r.multiplicity) for r in roots] == [(m, mult) for m, _, mult in expected]
+    np.testing.assert_allclose([r.lam for r in roots], [lam for _, lam, _ in expected],
+                               rtol=0, atol=1e-12)
     if lam_max > 144.0:
         assert roots[-1].lam > 144.0
 
@@ -204,21 +158,18 @@ def _per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
     grid = grid[grid <= lam_max]
     roots = []
     for m in range(m_max + 1):
-        pole = gamma * m * m if alpha != 0.0 else 0.0
-        lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), lam_max, pole, oracle.GRID_STEP)
+        extra = oracle.GRID_STEP * oracle.SUBGRID if m == 0 else np.array([gamma * m * m])
+        lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), extra, lam_max)
         lams = oracle._bisect(fun, np.full(lo.size, m), lo, hi, flo)
-        mult = 1 if m == 0 else 2
-        roots += [oracle.DispersionRoot(m, lam, mult) for lam in lams.tolist()]
-        if alpha == 0.0 and 0 < gamma * m * m <= lam_max:
-            roots.append(oracle.DispersionRoot(m, gamma * m * m, mult))
+        roots += [oracle.DispersionRoot(m, lam, 1 if m == 0 else 2) for lam in lams.tolist()]
     return sorted(roots, key=lambda r: r.lam)
 
 
 @pytest.mark.parametrize("k_like,alpha,gamma,m_max,lam_max", [
     (1.0, 0.0, 1.0, 6, 50.0),
     (0.0, 0.0, 1.3, 5, 30.0),
-    (2.0, -1.3, 0.7, 6, 45.0),   # poles gamma m^2 at 0.7, 2.8, ..., 25.2 in range
-    (1.0, 1.0, 1.0, 8, 40.0),    # poles 1, 4, ..., 36
+    (2.0, -1.3, 0.7, 6, 45.0),   # gamma m^2 at 0.7, 2.8, ..., 25.2 in range
+    (1.0, 1.0, 1.0, 8, 40.0),    # gamma m^2 at 1, 4, ..., 36 on the grid
     (10.0, 0.5, 2.5, 3, 120.0),
 ])
 def test_shared_orders_give_the_per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
@@ -262,7 +213,7 @@ def test_scan_memory_does_not_grow_with_the_modes():
 def _brentq_roots(k_like, alpha, gamma, m_max, lam_max, step=0.01):
     """Roots (m, lam, multiplicity) of the rationalized relation, or for
     alpha = 0 of the Robin relation plus the surface modes, from sign changes
-    on the grid refined by Brent's method: no pole window and no filter."""
+    on the grid refined by Brent's method: no extra scan points and no filter."""
     grid = step * np.arange(1, int(round(lam_max / step)) + 1)
     roots = []
     for m in range(m_max + 1):
@@ -280,37 +231,55 @@ def _brentq_roots(k_like, alpha, gamma, m_max, lam_max, step=0.01):
     return sorted((m, lam, 1 if m == 0 else 2) for m, lam in roots)
 
 
-@pytest.mark.parametrize("k_like,alpha,m_max,lam_max", [
-    (1.0, 1.0, 6, 60.0),
-    (1.0, 30.0, 6, 60.0),
-    (1.0, 1e3, 6, 60.0),      # roots near the zeros of J_m'
-    (1.0, 1e6, 6, 60.0),
-    (1e8, 1.0, 6, 60.0),
-    (1.0, 1e-3, 4, 30.0),     # roots near the poles m^2
-    (1.0, 1e-5, 4, 30.0),
-    (0.0, 1e3, 6, 60.0),
-    (1.0, 1e300, 8, 60.0),    # alpha^2 overflows: the zeros of J_m'
-    (1e3, 0.1, 6, 60.0),
+def _every_root_case(k_like, alpha, m_max, lam_max, gamma=1.0):
+    """One case; its id names gamma only where it is not 1."""
+    shown = (k_like, alpha, m_max, lam_max) + ((gamma,) if gamma != 1.0 else ())
+    return pytest.param(k_like, alpha, gamma, m_max, lam_max, id="-".join(map(str, shown)))
+
+
+@pytest.mark.parametrize("k_like,alpha,gamma,m_max,lam_max", [
+    _every_root_case(1.0, 1.0, 6, 60.0),
+    _every_root_case(1.0, 30.0, 6, 60.0),
+    _every_root_case(1.0, 1e3, 6, 60.0),      # roots near the zeros of J_m'
+    _every_root_case(1.0, 1e6, 6, 60.0),
+    _every_root_case(1e8, 1.0, 6, 60.0),
+    _every_root_case(1.0, 1e-3, 4, 30.0),     # roots near the surface modes m^2
+    _every_root_case(1.0, 1e-5, 4, 30.0),
+    _every_root_case(0.0, 1e3, 6, 60.0),
+    _every_root_case(1.0, 1e300, 8, 60.0),    # alpha^2 overflows: the zeros of J_m'
+    _every_root_case(1e3, 0.1, 6, 60.0),
+    # J_m and J_m' of orders from about 102 up underflow to 0 on the first grid
+    # points: a zero product there keeps the sign of lam - gamma m^2
+    _every_root_case(1.0, 1.0, 110, 60.0),
+    _every_root_case(1.0, 0.0, 110, 60.0),
+    # a root about 4e-11 above each gamma m^2, which lies off the grid
+    _every_root_case(1.0, 1e-5, 8, 60.0, gamma=1.2345),
+    _every_root_case(0.0, 1e-5, 8, 60.0, gamma=1.2345),
+    # decoupled: the surface mode gamma and the Dirichlet root j_{1,1}^2 share a grid cell
+    _every_root_case(0.0, 0.0, 4, 30.0, gamma=float(special.jn_zeros(1, 1)[0] ** 2 + 0.003)),
 ])
-def test_every_root_of_the_relation_is_returned(k_like, alpha, m_max, lam_max):
-    # the rationalized relation is the coupled one times a nonzero factor away
-    # from its poles, so no root it has is spurious
+def test_every_root_of_the_relation_is_returned(k_like, alpha, gamma, m_max, lam_max):
+    # the scanned determinant has no pole, and it is the coupled relation
+    # times lam - gamma m^2, so no root it has is spurious
     roots = sorted((r.m, r.lam, r.multiplicity)
-                   for r in oracle.disk_eigs_second(k_like, alpha, 1.0, m_max, lam_max)
+                   for r in oracle.disk_eigs_second(k_like, alpha, gamma, m_max, lam_max)
                    if r.lam >= oracle.GRID_STEP)
-    expected = _brentq_roots(k_like, alpha, 1.0, m_max, lam_max)
+    expected = _brentq_roots(k_like, alpha, gamma, m_max, lam_max)
     assert [(m, mult) for m, _, mult in roots] == [(m, mult) for m, _, mult in expected]
     np.testing.assert_allclose([lam for _, lam, _ in roots], [lam for _, lam, _ in expected],
                                rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("k_like,alpha", [(1e3, 0.1), (1e8, 1.0), (1e5, 0.0)])
+@pytest.mark.parametrize("k_like,alpha", [(1e3, 0.1), (1e8, 1.0), (1e5, 0.0), (1e300, 1.0)])
 def test_mode_zero_root_below_the_grid(k_like, alpha):
     # near 0 mode 0's relation is about lam (1 + alpha^2/2 - K lam/2): its
-    # first root (2 + alpha^2)/K lies below the grid step for K above ~200
+    # first root (2 + alpha^2)/K (1 - 1/(4K) + O(1/K^2)) lies below the grid
+    # step for K above ~200
     first = oracle.disk_eigs_second(k_like, alpha, 1.0, 4, 10.0)[0]
     assert first.m == 0 and first.lam < oracle.GRID_STEP
-    assert first.lam == pytest.approx((2.0 + alpha * alpha) / k_like, rel=1e-3)
+    rel = 1e-13 if k_like >= 1e8 else 1e-3
+    assert first.lam == pytest.approx((2.0 + alpha * alpha) / k_like * (1.0 - 0.25 / k_like),
+                                      rel=rel, abs=0)
     fine = oracle.disk_eigs_second(k_like, alpha, 1.0, 0, 2 * first.lam, grid_step=first.lam / 20)[0]
     assert abs(first.lam - fine.lam) <= 1e-11
 
