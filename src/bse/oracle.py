@@ -51,9 +51,9 @@ def _relation(k_like, alpha, gamma, m, lam, j, jp):
 def _brackets(fun, m, grid, f, extra, lam_max):
     """Sign-change brackets (lo, hi, fun(m, lo)) of mode ``m`` from its values
     ``f`` on the ascending ``grid``, with the points ``extra`` in (0, lam_max]
-    evaluated by ``fun`` and added: every cell whose ends differ in sign is a
-    bracket."""
-    extra = extra[(extra > 0) & (extra <= lam_max)]
+    and the double after lam_max, which brackets a root at lam_max, evaluated
+    by ``fun`` and added: every cell whose ends differ in sign is a bracket."""
+    extra = extra[(extra > 0) & (extra <= np.nextafter(lam_max, np.inf))]
     at = np.searchsorted(grid, extra)
     grid, f = np.insert(grid, at, extra), np.insert(f, at, fun(m, extra))
     bracket = np.signbit(f[:-1]) != np.signbit(f[1:])
@@ -64,8 +64,7 @@ def _bisect(fun, m, lo, hi, flo):
     """Halve every bracket [lo_i, hi_i] of fun(m_i, .) in lockstep, keeping the
     half whose ends differ in sign, until its ends are adjacent doubles;
     ``flo`` holds the values at ``lo``.  Returns the end of each bracket at
-    which fun has no sign bit.
-    """
+    which fun has no sign bit."""
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
         fmid = fun(m, mid)
@@ -84,13 +83,13 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     (lam - gamma m^2)(K s J_m' + J_m) - alpha^2 s J_m' for every alpha; at
     alpha = 0 its roots are the bulk Robin/Dirichlet roots and gamma m^2.
     It is scanned on the grid, mode 0 also at the SUBGRID points below it
-    and mode m >= 1 also at gamma m^2, where the surface factor changes
-    sign, so two roots beside it in one grid cell are both bracketed.  Every
-    sign change is a bracket and every root is kept.  Each Bessel order is
+    and mode m >= 1 also at the two doubles beside gamma m^2, where the
+    surface factor has a sign: a root on either side of gamma m^2 and one at
+    it get a bracket each, also in one grid cell.  Every sign change is a
+    bracket and every root in (0, lam_max] is kept.  Each Bessel order is
     evaluated over the whole grid once, for the three modes whose relations
     use it, with J_m' = (J_{m-1} - J_{m+1}) / 2 as in ``scipy.special.jvp``;
-    the brackets of all modes are bisected together.
-    """
+    the brackets of all modes are bisected together."""
     if not np.all(np.isfinite([k_like, alpha, gamma, lam_max, grid_step])):
         raise InvalidArgumentError("oracle parameters must be finite")
     if k_like < 0:
@@ -116,12 +115,13 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     for m in range(m_max + 1):  # rows J_{m-1}, J_m, J_{m+1}; J_m' is formed as scipy.special.jvp does
         rows = rows[1:] + [special.jv(m + 1, s)]
         f = _relation(k_like, alpha, gamma, m, grid, rows[1], (rows[0] - rows[2]) / 2)
-        extra = grid_step * SUBGRID if m == 0 else np.array([gamma * m * m])
+        extra = grid_step * SUBGRID if m == 0 else np.nextafter(gamma * m * m, [0.0, np.inf])
         parts.append(_brackets(fun, m, grid, f, extra, lam_max))
     mode = np.repeat(np.arange(m_max + 1), [lo.size for lo, _, _ in parts])
     lams = _bisect(fun, mode, *(np.concatenate(arrays) for arrays in zip(*parts)))
     return sorted((DispersionRoot(m=m, lam=lam, multiplicity=1 if m == 0 else 2)
-                   for m, lam in zip(mode.tolist(), lams.tolist())), key=lambda r: r.lam)
+                   for m, lam in zip(mode.tolist(), lams.tolist()) if lam <= lam_max),
+                  key=lambda r: r.lam)
 
 
 def circle_surface_eigs(gamma: float, m_max: int) -> list[float]:

@@ -158,10 +158,12 @@ def _per_mode_roots(k_like, alpha, gamma, m_max, lam_max):
     grid = grid[grid <= lam_max]
     roots = []
     for m in range(m_max + 1):
-        extra = oracle.GRID_STEP * oracle.SUBGRID if m == 0 else np.array([gamma * m * m])
+        extra = (oracle.GRID_STEP * oracle.SUBGRID if m == 0
+                 else np.nextafter(gamma * m * m, [0.0, np.inf]))
         lo, hi, flo = oracle._brackets(fun, m, grid, fun(m, grid), extra, lam_max)
         lams = oracle._bisect(fun, np.full(lo.size, m), lo, hi, flo)
-        roots += [oracle.DispersionRoot(m, lam, 1 if m == 0 else 2) for lam in lams.tolist()]
+        roots += [oracle.DispersionRoot(m, lam, 1 if m == 0 else 2)
+                  for lam in lams.tolist() if lam <= lam_max]
     return sorted(roots, key=lambda r: r.lam)
 
 
@@ -255,8 +257,12 @@ def _every_root_case(k_like, alpha, m_max, lam_max, gamma=1.0):
     # a root about 4e-11 above each gamma m^2, which lies off the grid
     _every_root_case(1.0, 1e-5, 8, 60.0, gamma=1.2345),
     _every_root_case(0.0, 1e-5, 8, 60.0, gamma=1.2345),
-    # decoupled: the surface mode gamma and the Dirichlet root j_{1,1}^2 share a grid cell
+    # decoupled: the surface mode gamma and the Dirichlet root j_{1,k}^2 share a grid cell,
+    # with J_1 and J_1' of either sign at gamma
     _every_root_case(0.0, 0.0, 4, 30.0, gamma=float(special.jn_zeros(1, 1)[0] ** 2 + 0.003)),
+    _every_root_case(0.0, 0.0, 4, 60.0, gamma=float(special.jn_zeros(1, 2)[1] ** 2 + 0.001)),
+    # decoupled: the surface mode 2.5 * 5^2 lies at lam_max
+    _every_root_case(1.0, 0.0, 5, 62.5, gamma=2.5),
 ])
 def test_every_root_of_the_relation_is_returned(k_like, alpha, gamma, m_max, lam_max):
     # the scanned determinant has no pole, and it is the coupled relation
