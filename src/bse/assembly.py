@@ -212,17 +212,19 @@ def build_constraints(forms: BasicForms, k_like: float, alpha_like: float,
     pairing with the kernel must stay away from zero (``check_mean_pairing``).
     """
     check_mean_pairing(alpha_like, mean_like, measures(forms.mesh))
-    levels, msh = [], forms.mesh
+    levels, pairs, msh = [], [], forms.mesh
     while multigrid and msh.parent is not None:
         p = msh.prolongation
         if k_like == 0:  # P[retained] R_coarse: a midpoint's ends are eliminated alike
             p = (p[_constraint_set(msh, 0, alpha_like).retained()]
                  @ _constraint_set(msh.parent, 0, alpha_like).reduction_matrix()).tocsr()
+        else:  # each boundary vertex and its surface node, coupled by 1/K, relax together
+            pairs.append(np.stack([msh.surface_nodes, msh.n_vertices + np.arange(msh.n_surface)]))
         levels.append(p)
         msh = msh.parent
     cvec = np.concatenate([mean_like * forms.lumped_bulk, forms.lumped_surf])
     return _constraint_set(forms.mesh, k_like, alpha_like, mean_vector=cvec,
-                           kernel=kernel_pair(forms, alpha_like), levels=tuple(levels))
+                           kernel=kernel_pair(forms, alpha_like), levels=tuple(levels), pairs=tuple(pairs))
 
 
 class Discretization:

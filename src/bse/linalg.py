@@ -5,14 +5,16 @@ kernel is a single known direction: the system is reduced by an elimination
 map (Dirichlet-type trace conditions), the mean constraint is appended as a
 Lagrange border, and the bordered system is factored once by a sparse LU
 (SuperLU) in a nested-dissection order computed from the coordinates of the
-unknowns.  Large systems on a refined mesh are instead solved by conjugate
-gradients preconditioned by a geometric multigrid V-cycle over the
-refinement hierarchy, which ends in the same bordered sparse LU of the
-coarsest level.  Jacobi-preconditioned conjugate gradients remain
-available on request.
+unknowns.  Systems of MG_MIN_UNKNOWNS or more on a refined mesh (refine 3
+of the disk on) are instead solved by CG preconditioned by a geometric
+multigrid V-cycle over the refinement hierarchy, whose smoother relaxes
+each boundary vertex and its surface node as a 2x2 block from Robin to
+Dirichlet and whose coarsest level is the same bordered sparse LU.
+Jacobi-preconditioned CG remains available on request.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,14 +35,17 @@ KERNEL_RHS_TOL = 1e-8
 # SuperLU reaches 3.8e-12 at refine 4 (K=1), 1.2e-8 with K=1e4; eigenpairs 6e-8 at K=1e8
 DIRECT_RESIDUAL_TOL = 1e-6
 # reduced unknowns from which a system with refinement levels is solved by
-# multigrid CG: the n_boundary = 64 disk has 11k at refine 3 and 42k at refine 4
-MG_MIN_UNKNOWNS = 20000
-# damped Jacobi weight, smoothing steps before and after, and the relative
-# residual at which each CG sweep stops: weights 0.5-0.8, 1-3 steps and
-# 1e-4 to 1e-8 took 14-31 iterations at refine 4-5 and times within the
-# spread of repeats; these take 19-20
+# multigrid CG, the measured crossover: cold solve2/solve4 favour SuperLU or
+# tie up to 4.3k unknowns and multigrid from 5.0k; the n_boundary = 64 disk
+# has 2.9k at refine 2 and 11k at refine 3 (SuperLU 78 ms, multigrid 37 ms)
+MG_MIN_UNKNOWNS = 5000
+# damped block-Jacobi weight, smoothing steps before and after, and the
+# relative residual at which each CG sweep stops: weights 0.5-0.8, 1-3 steps
+# and 1e-4 to 1e-8 took 14-31 iterations at refine 4-5; these take 18-30 for
+# K in [0, 1], alpha up to 100 and gamma down to 1e-3 (0.8: 16-33, less evenly)
 MG_OMEGA, MG_SMOOTHING, MG_SWEEP_TOL = 0.6, 2, 1e-6
-MG_BACKWARD_TOL = 2e-16  # backward error at which the sweeps stop
+MG_BACKWARD_TOL = 2e-16  # backward error at which the sweeps stop, or at which
+MG_MIN_GAIN = 10.0  # a converged sweep gains less: the floor, 2-3e-16 at K <= 1e-6
 # caps: a sweep takes about 10 iterations; one that stalls near the roundoff
 # floor (K = 1e5) restarts, and a solve that does not converge ends as
 # numerically singular
@@ -86,7 +91,8 @@ class ConstraintSet:
     ``levels`` are sparse prolongations between the retained unknowns of a
     refinement hierarchy, finest first: the first maps onto this set's
     retained unknowns, each next one onto the previous one's columns.
-    Multigrid uses them.
+    ``pairs`` holds per level a (2, m) array of index pairs among its rows,
+    whose 2x2 blocks the smoother inverts.  Multigrid uses both.
     """
 
     n: int
@@ -97,6 +103,7 @@ class ConstraintSet:
     mean_vector: np.ndarray | None = None
     kernel: np.ndarray | None = None
     levels: tuple = ()
+    pairs: tuple = ()
 
     def __post_init__(self):
         elim = np.asarray(self.elim_index, dtype=np.int64)
@@ -108,7 +115,7 @@ class ConstraintSet:
         if np.shape(self.points) != (self.n, 2) or not np.all(np.isfinite(self.points)):
             raise InvalidArgumentError(f"points must be a finite ({self.n}, 2) array")
         rows = [self.n - elim.size] + [p.shape[1] for p in self.levels]
-        if [p.shape[0] for p in self.levels] != rows[:-1]:
+        if [p.shape[0] for p in self.levels] != rows[:-1] or len(self.pairs) > len(self.levels):
             raise InvalidArgumentError(f"refinement levels do not chain to n={self.n}")
 
     @property
@@ -297,12 +304,29 @@ class FactorizedConstrainedSolver(ReducedSystem):
         return self.expand(self.solve_reduced(b_red))
 
 
+def _block_jacobi(a, i, j):
+    """Smoother r -> MG_OMEGA D^-1 r, D the diagonal of ``a`` but the 2x2 blocks of the
+    pairs (i[k], j[k]): the diagonal scaling plus a correction on the pair entries."""
+    d, aij = a.diagonal(), a[i][:, j].diagonal()
+    det = d[i] * d[j] - aij * aij
+    dinv, off = MG_OMEGA / d, -MG_OMEGA * aij / det
+    dinv[i], dinv[j] = MG_OMEGA * d[j] / det, MG_OMEGA * d[i] / det
+
+    def smooth(r):
+        z = dinv * r
+        z[i] += off * r[j]
+        z[j] += off * r[i]
+        return z
+    return smooth
+
+
 class MultigridConstrainedSolver(ReducedSystem):
     """The reduced system with a geometric multigrid V-cycle over the
     constraint set's refinement ``levels`` (Hackbusch, *Multi-Grid Methods and
     Applications*, 1985): Galerkin coarse matrices P^T A P of the given
-    prolongations P, damped Jacobi smoothing and, on the coarsest level, the
-    bordered sparse LU of FactorizedConstrainedSolver with the border P^T c."""
+    prolongations P, damped block-Jacobi smoothing over each level's ``pairs``
+    (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001) and, on the coarsest
+    level, the bordered sparse LU of FactorizedConstrainedSolver with border P^T c."""
 
     method = "mg-cg"
 
@@ -310,11 +334,11 @@ class MultigridConstrainedSolver(ReducedSystem):
         super().__init__(a, cs)
         if not cs.levels or self.k_red is None:
             raise InvalidArgumentError("multigrid needs refinement levels and a kernel direction")
-        self._levels = []  # (A, omega / diag A, P, P^T), finest first
+        self._levels = []  # (A, smoother, P, P^T), finest first
         a_l, c_l, pts = self.a_red, self.c_red, self.points
-        for p in cs.levels:
+        for p, (i, j) in itertools.zip_longest(cs.levels, cs.pairs, fillvalue=np.empty((2, 0), int)):
             pt = p.T.tocsr()
-            self._levels.append((a_l, MG_OMEGA / a_l.diagonal(), p, pt))
+            self._levels.append((a_l, _block_jacobi(a_l, i, j), p, pt))
             # the border and the coordinates, as P^T-weighted means, go down too
             a_l, c_l = (pt @ a_l @ p).tocsr(), pt @ c_l
             pts = (pt @ pts) / (pt @ np.ones(p.shape[0]))[:, None]
@@ -324,29 +348,32 @@ class MultigridConstrainedSolver(ReducedSystem):
     def _vcycle(self, r, level=0):
         if level == len(self._levels):
             return self._coarse.solve_reduced(r)
-        a, wdinv, p, pt = self._levels[level]
-        x = wdinv * r
+        a, smooth, p, pt = self._levels[level]
+        x = smooth(r)
         for _ in range(MG_SMOOTHING - 1):
-            x += wdinv * (r - a @ x)
+            x += smooth(r - a @ x)
         x += p @ self._vcycle(pt @ (r - a @ x), level + 1)
         for _ in range(MG_SMOOTHING):
-            x += wdinv * (r - a @ x)
+            x += smooth(r - a @ x)
         return x
 
     def solve_reduced(self, b_red):
         """CG sweeps, each on the residual recomputed from the sum of the
-        previous ones, until its backward error reaches MG_BACKWARD_TOL; one
-        sweep leaves an error in the smoothest modes that the backward error
-        barely sees.  Each residual loses the multiplier's share
-        (k.r / k.c) c, as in the bordered system."""
+        previous ones, until its backward error reaches MG_BACKWARD_TOL or
+        a converged sweep lowers it less than MG_MIN_GAIN-fold; one sweep
+        leaves an error in the smoothest modes that the backward error barely
+        sees.  Each residual loses the multiplier's share (k.r / k.c) c, as
+        in the bordered system."""
         a, c, k = self.a_red, self.c_red, self.k_red
-        x, self.iterations = np.zeros_like(b_red), 0
+        x, self.iterations, last = np.zeros_like(b_red), 0, np.inf
         for _ in range(MG_MAX_SWEEPS):
             r = b_red - a @ x
             r -= (float(k @ r) / float(k @ c)) * c
-            if self.backward_error(x, b_red, r) <= MG_BACKWARD_TOL:
+            eta = self.backward_error(x, b_red, r)
+            if eta <= MG_BACKWARD_TOL or eta * MG_MIN_GAIN > last:
                 break
-            x += self._cg(r, self._vcycle, MG_SWEEP_TOL, MG_SWEEP_MAXITER)[0]
+            dx, converged = self._cg(r, self._vcycle, MG_SWEEP_TOL, MG_SWEEP_MAXITER)
+            x, last = x + dx, eta if converged else np.inf
         return x
 
 

@@ -16,6 +16,7 @@ from scipy import special
 from .errors import InvalidArgumentError
 
 BESSEL_MAX_ARG = 200.0
+BESSEL_UNDERFLOW = 1e-280  # far below |J_m| at a zero of J_{m-1}, which stays
 GRID_STEP = 0.01
 # mode 0 alone is also scanned at these multiples of the grid step: its first root, near
 # (2 + alpha^2) / K, lies below the grid for K > ~200 and above 1e-300 of the step for K <= 1e300
@@ -31,10 +32,20 @@ class DispersionRoot:
     multiplicity: int
 
 
+def _pair(below, j, above):
+    """J_m and J_m' = (J_{m-1} - J_{m+1}) / 2, as ``scipy.special.jvp`` forms
+    it, from J_{m-1}, J_m and J_{m+1}, with orders below BESSEL_UNDERFLOW
+    above a 0.0 taken as 0.0: SciPy 1.17 gives 0.0 for J_114(s) and J_115(s)
+    near s = 0.22, but not for J_116(s), which gave J_115' the wrong sign."""
+    j = np.where((below == 0) & (np.abs(j) < BESSEL_UNDERFLOW), 0.0, j)
+    above = np.where(((below == 0) | (j == 0)) & (np.abs(above) < BESSEL_UNDERFLOW), 0.0, above)
+    return j, (below - above) / 2
+
+
 def _bessel_pair(m, s):
-    """J_m(s) and J_m'(s) elementwise; the orders ``m`` are a scalar or an
-    array like ``s``."""
-    return special.jv(m, s), special.jvp(m, s)
+    """J_m(s) and J_m'(s) elementwise, as ``_pair`` forms them; the orders
+    ``m`` are a scalar or an array like ``s``."""
+    return _pair(special.jv(m - 1, s), special.jv(m, s), special.jv(m + 1, s))
 
 
 def _relation(k_like, alpha, gamma, m, lam, j, jp):
@@ -88,8 +99,8 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     it get a bracket each, also in one grid cell.  Every sign change is a
     bracket and every root in (0, lam_max] is kept.  Each Bessel order is
     evaluated over the whole grid once, for the three modes whose relations
-    use it, with J_m' = (J_{m-1} - J_{m+1}) / 2 as in ``scipy.special.jvp``;
-    the brackets of all modes are bisected together."""
+    use it, as ``_pair`` forms J_m and J_m'; the brackets of all modes are
+    bisected together."""
     if not np.all(np.isfinite([k_like, alpha, gamma, lam_max, grid_step])):
         raise InvalidArgumentError("oracle parameters must be finite")
     if k_like < 0:
@@ -112,9 +123,9 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     grid = grid[grid <= lam_max]
     s = np.sqrt(grid)
     rows, parts = [None, special.jv(-1, s), special.jv(0, s)], []
-    for m in range(m_max + 1):  # rows J_{m-1}, J_m, J_{m+1}; J_m' is formed as scipy.special.jvp does
+    for m in range(m_max + 1):  # rows J_{m-1}, J_m, J_{m+1}
         rows = rows[1:] + [special.jv(m + 1, s)]
-        f = _relation(k_like, alpha, gamma, m, grid, rows[1], (rows[0] - rows[2]) / 2)
+        f = _relation(k_like, alpha, gamma, m, grid, *_pair(*rows))
         extra = grid_step * SUBGRID if m == 0 else np.nextafter(gamma * m * m, [0.0, np.inf])
         parts.append(_brackets(fun, m, grid, f, extra, lam_max))
     mode = np.repeat(np.arange(m_max + 1), [lo.size for lo, _, _ in parts])

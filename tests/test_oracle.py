@@ -290,6 +290,17 @@ def test_mode_zero_root_below_the_grid(k_like, alpha):
     assert abs(first.lam - fine.lam) <= 1e-11
 
 
+@pytest.mark.parametrize("m_max", [115, 130])
+@pytest.mark.parametrize("k_like,alpha", [(1.0, 0.0), (1.0, 1.0), (0.0, 1e-3)])
+def test_high_orders_add_no_spurious_roots(k_like, alpha, m_max):
+    # modes above 8 have no root up to lam_max = 60; SciPy's jv gives 0.0
+    # for J_114 and J_115 near s = 0.22 where J_116 is nonzero, which once
+    # made two mode-115 roots near 0.0435 and 0.0587
+    expected = oracle.disk_eigs_second(k_like, alpha, 1.0, 8, 60.0)
+    assert expected
+    assert oracle.disk_eigs_second(k_like, alpha, 1.0, m_max, 60.0) == expected
+
+
 @pytest.mark.parametrize("k_like,alpha", [(1.0, 30.0), (1.0, 1e-3), (0.0, 1e3)])
 def test_refine2_eig2_matches_the_oracle(k_like, alpha):
     from bse import eigen, mesh

@@ -290,6 +290,18 @@ def test_refine4_robin_solve_terminates():
     assert abs(c @ x) <= 1e-10 * (np.abs(c) @ np.abs(x))
 
 
+def test_refine3_small_k_solve_runs_multigrid():
+    # refine 3 (11k unknowns) is above linalg.MG_MIN_UNKNOWNS, and the
+    # V-cycle's 2x2 bulk-surface blocks keep K = 1e-9 as fast as K = 1
+    m = mesh.generate_disk(64, 3)
+    x, y = m.vertices.T
+    xs, ys = m.vertices[m.surface_nodes].T
+    rep = solver.solve_second(m, ProblemParams(K=1e-9), 1.0 - 0.5 * (x * x + y * y) + x * y,
+                              np.cos(3.0 * np.arctan2(ys, xs)), strict=False)
+    assert rep.method == "mg-cg" and rep.iterations <= 30
+    assert rep.backward_error <= 1e-15
+
+
 def test_solve_report_carries_its_forms():
     msh = mesh.generate_disk(16, 0)
     params = ProblemParams(K=1.0, alpha=1.0, beta=1.0)
