@@ -1,8 +1,9 @@
 """Batch front end: mesh generation, solves, eigenruns, oracle runs, and
 convergence studies driven by a JSON config.
 
-Heavy numerical imports happen inside the command handlers so that the
-``--threads`` option can pin the BLAS thread pools before numpy loads.
+Heavy numerical imports happen inside the command handlers so that
+``bse run`` can pin the BLAS thread pools before numpy loads: to
+``--threads`` if given, else each pool the environment leaves unset to one.
 Artifacts are CSV files with 17-significant-digit values and a
 ``summary.json`` run record; failures produce a mapped exit code (2
 validation, 3 numerical), one log line and, for ``bse run``, a one-line
@@ -420,11 +421,11 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
+    if args.command == "run":  # ARPACK ran 2-3x slower with two BLAS threads than with one
+        if args.threads is not None and args.threads < 1:
             p_run.error(f"argument --threads: must be >= 1, got {args.threads}")
         for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(args.threads) if args.threads else os.environ.get(var, "1")
     _setup_logging()
 
     from .errors import BseError

@@ -10,7 +10,8 @@ fourth-order mass B = M A^+ M is applied through one factorized solve and
 never formed.  One direct ``assembly.Discretization`` per call factors each
 system once (eig4 with L = K and beta = alpha has one).  Requests for
 (nearly) the whole spectrum, and the norm-equivalence constants, are solved
-densely by ``scipy.linalg.eigh`` in an orthonormal basis of the hyperplane.
+densely by ``scipy.linalg.eigh`` after one Householder reflector (LAPACK's
+dgeqrf and dormqr) has mapped the hyperplane onto coordinates 2..n in place.
 Eigenvectors are used as ARPACK or LAPACK returns them, B-orthonormal; the
 residual and B-Gram checks of every result confirm it.
 """
@@ -73,18 +74,37 @@ def _project(chat, r):
     return r - np.multiply.outer(chat, chat @ r)
 
 
-def _dense(c_red, a, apply_b, **eigh_args):
-    """q and ``scipy.linalg.eigh(**eigh_args)`` of the pencil (A, B) in the
-    orthonormal basis q of the hyperplane c.x = 0, B applied by ``apply_b``.
-    LAPACK reads one triangle: a B symmetric to roundoff needs no symmetrizing."""
+def _dense(c, a, b, **eigh_args):
+    """``scipy.linalg.eigh(**eigh_args)`` of the pencil (A, B) on the hyperplane
+    c.x = 0, with A and B dense, Fortran-ordered and overwritten.  One
+    Householder reflector H = H^T with H c = beta e_1 (LAPACK's dgeqrf) maps the
+    hyperplane onto the last n - 1 coordinates: H A H and H B H are formed in
+    place in O(n^2) by dormqr, and eigenvectors v return as H [0; v].  LAPACK
+    reads one triangle: a B symmetric to roundoff needs no symmetrizing."""
     import scipy.linalg as sla
+    from scipy.linalg import lapack
 
-    q = sla.null_space(c_red[None, :])
-    try:
-        return q, sla.eigh(q.T @ (a @ q), q.T @ apply_b(q), **eigh_args)
+    k = len(c) - 1
+    h, tau = lapack.dgeqrf(c[:, None])[:2]
+
+    def reflect(x, side="L"):
+        return lapack.dormqr(side, "N", h, tau, x, max(x.shape), overwrite_c=1)[0]
+
+    def trailing(m):  # H m H, its trailing block moved to the front of the buffer
+        m = reflect(reflect(m), "R").ravel(order="F")
+        for j in range(k):  # each block column starts past its new place: no overlap
+            m[j * k:(j + 1) * k] = m[(j + 1) * (k + 1) + 1:(j + 2) * (k + 1)]
+        return m[:k * k].reshape(k, k, order="F")
+
+    try:  # in place: LAPACK reads the Fortran-ordered blocks without a copy
+        out = sla.eigh(trailing(a), trailing(b), overwrite_a=True, overwrite_b=True, **eigh_args)
     except np.linalg.LinAlgError as exc:  # B not positive definite, or no convergence
         raise SingularSystemError(f"dense eigensolve failed ({exc}): the pencil is "
                                   "numerically singular") from None
+    if eigh_args.get("eigvals_only"):
+        return out
+    w, v = out
+    return w, reflect(np.vstack([np.zeros((1, v.shape[1])), v]))
 
 
 def _finalize(disc, w, y, a, apply_b, solver, chat, method, op_applications):
@@ -128,8 +148,9 @@ def _smallest(disc, solver, b_apply, k):
         return b_apply(x) if r is None else r.T @ b_apply(r @ x)
 
     if k >= n - 2:  # beyond ARPACK: k < dim - 1 on the hyperplane of dim n - 1
-        q, (w, v) = _dense(solver.c_red, a, apply_b, subset_by_index=[0, k - 1])
-        return _finalize(disc, w, q @ v, a, apply_b, solver, chat, "dense", 0)
+        w, y = _dense(solver.c_red, a.toarray(order="F"), np.asfortranarray(apply_b(np.eye(n))),
+                      subset_by_index=[0, k - 1])
+        return _finalize(disc, w, y, a, apply_b, solver, chat, "dense", 0)
     solves = 0
 
     def solve(x):
@@ -225,24 +246,22 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     forms = disc.forms
     red = ReducedSystem(*disc.system(params.K, params.alpha, params.beta, params.gamma))
     h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")
-
-    def apply_h1(x):
-        return red.reduce_rhs(h1 @ red.expand(x))
-
+    h1 = h1 if red.r is None else red.r.T @ h1 @ red.r
+    a, b = red.a_red.toarray(order="F"), h1.toarray(order="F")
     # H1 is SPD, so its Cholesky factor reduces the pencil; an energy matrix that
     # is not positive definite shows as w[0] <= 0.  Without vectors LAPACK's
     # sygv is faster than the default sygvd (0.08 against 0.11 s at n = 832)
     if return_fields:
-        q, (w, v) = _dense(red.c_red, red.a_red, apply_h1)
+        w, y = _dense(red.c_red, a, b)
     else:
-        q, w = _dense(red.c_red, red.a_red, apply_h1, eigvals_only=True, driver="gv")
+        w = _dense(red.c_red, a, b, eigvals_only=True, driver="gv")
     if not w[0] > 0:
         raise SingularSystemError("energy matrix is not positive definite on the "
                                   f"constrained subspace (smallest eigenvalue {w[0]:.3e})")
     a_h, b_h = float(np.sqrt(1.0 / w[0])), float(np.sqrt(w[-1]))
     if not return_fields:
         return a_h, b_h
-    fields = [CoupledField.from_vector(mesh, red.expand(q @ v[:, j])) for j in (0, -1)]
+    fields = [CoupledField.from_vector(mesh, red.expand(y[:, j])) for j in (0, -1)]
     return a_h, b_h, fields[0], fields[1]
 
 

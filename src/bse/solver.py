@@ -154,9 +154,12 @@ def inner_h0(forms: BasicForms, a: CoupledField, b: CoupledField) -> float:
 
 def inner_dual(mesh: Mesh, params: ProblemParams, fg1, fg2) -> float:
     """Inner product on beta-compatible source pairs, induced by the solves
-    with (L, beta) coupling and alpha-mean constraint: the energy pairing of
-    the two solutions, which share one solver."""
+    with (L, beta) coupling and alpha-mean constraint: the energy pairing
+    x1^T A x2 of the two solutions.  It equals x1 . b2 with b2 the load of the
+    second pair (A x2 = b2 - mu c, mu = 0 for a compatible pair, c . x1 = 0),
+    so one solve serves; the second pair is checked as strictly."""
     disc = Discretization(mesh)
     key = (params.L, params.beta, params.alpha, params.gamma)
-    s = [_solve_stage(disc, key, f, g, strict=True)[0].x for f, g in (fg1, fg2)]
-    return float(s[0] @ (disc.system(*key)[0] @ s[1]))
+    x1 = _solve_stage(disc, key, *fg1, strict=True)[0].x
+    f2, g2 = _check_sources(disc.forms, *fg2, key[1], strict=True)[:2]
+    return float(x1 @ assemble_load(disc.forms, f2, g2))

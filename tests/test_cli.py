@@ -551,6 +551,19 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert summary["peak_rss_mb"] > 0
 
 
+def test_run_defaults_to_one_blas_thread(tmp_path):
+    # ARPACK ran 2-3x slower with two BLAS threads: without --threads, bse run
+    # sets every thread variable the environment leaves unset to 1
+    cfg = write_config(tmp_path, "eig.json", {"task": "eig2", "geometry": {"n_boundary": 8},
+                                              "eig": {"k": 2}})
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "bse.cli", "run", cfg, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["blas_threads"] == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "-7"])
 def test_thread_count_below_one_exits_2(tmp_path, threads):
     cfg = write_config(tmp_path, "oracle.json", {"task": "oracle"})

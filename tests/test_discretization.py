@@ -81,6 +81,26 @@ def test_inner_dual_factors_once(splu_calls, order_calls):
     assert len(splu_calls) == 1 and len(order_calls) == 1
 
 
+def test_inner_dual_solves_once(monkeypatch):
+    # x1^T A x2 = x1 . b2 for a compatible second pair: one constrained solve
+    calls = []
+    real = solver.solve_constrained
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_constrained", counting)
+    msh = mesh.generate_disk(16, 1)
+    p = ProblemParams(K=1.0, L=2.0, alpha=1.0, beta=0.5)
+    forms = assembly.assemble_basic(msh)
+    f, g = _sources(msh)
+    pairs = [assembly.project_compatible(forms, f, g, p.beta),
+             assembly.project_compatible(forms, np.ones_like(f), g, p.beta)]
+    assert np.isfinite(solver.inner_dual(msh, p, *pairs))
+    assert len(calls) == 1
+
+
 def test_eig_fourth_orders_a_shared_pattern_once(splu_calls, order_calls):
     msh = mesh.generate_disk(64, 2)
     res = eigen.eig_fourth(msh, ProblemParams(K=1.0, L=2.0, alpha=1.0, beta=0.5), k=3)

@@ -344,16 +344,18 @@ def test_norm_equivalence_makes_one_dense_eigensolve(small_disk, monkeypatch, re
     assert calls[0].get("eigvals_only", False) is not return_fields
 
 
-@pytest.mark.parametrize("refine", [1, 2])
-@pytest.mark.parametrize("k_like", [0.0, 1.0])
-def test_norm_equivalence_matches_two_subset_eigensolves(k_like, refine):
+@pytest.mark.parametrize("k_like, refine, alpha, gamma", [
+    (0.0, 1, 1.0, 1.0), (0.0, 2, 1.0, 1.0), (1.0, 1, 1.0, 1.0), (1.0, 2, 1.0, 1.0),
+    (0.0, 1, 1.5, 0.3), (1.0, 1, 1.5, 0.3),
+], ids=["0.0-1", "0.0-2", "1.0-1", "1.0-2", "0.0-1-alpha1.5-gamma0.3", "1.0-1-alpha1.5-gamma0.3"])
+def test_norm_equivalence_matches_two_subset_eigensolves(k_like, refine, alpha, gamma):
     # the computation the single eigensolve replaced: the smallest eigenvalue
-    # of (H1, A) gives B_h, that of (A, H1) gives A_h
+    # of (H1, A) gives B_h, that of (A, H1) gives A_h, in a null_space basis
     import scipy.linalg as sla
     import scipy.sparse as sp
 
     msh = mesh.generate_disk(16 if refine == 2 else 32, refine)
-    p = ProblemParams(K=k_like, alpha=1.0, beta=1.0)
+    p = ProblemParams(K=k_like, alpha=alpha, beta=1.0, gamma=gamma)
     a_h, b_h = eigen.norm_equivalence_constants(msh, p)
     forms = assembly.assemble_basic(msh)
     a = assembly.assemble_coupled(forms, p.K, p.alpha, p.gamma)
@@ -366,6 +368,25 @@ def test_norm_equivalence_matches_two_subset_eigensolves(k_like, refine):
     inv_hi = sla.eigh(a_qq, h1_qq, subset_by_index=[0, 0], eigvals_only=True)[0]
     assert a_h == pytest.approx(np.sqrt(1.0 / inv_hi), rel=1e-12)
     assert b_h == pytest.approx(np.sqrt(1.0 / lo), rel=1e-12)
+
+
+@pytest.mark.parametrize("return_fields", [False, True])
+@pytest.mark.parametrize("k_like", [0.0, 1.0])
+def test_norm_equivalence_peak_memory(k_like, return_fields):
+    # one reflector restricts the dense pencil in place: the two n x n matrices
+    # and LAPACK's workspace, no n x (n - 1) basis and no basis products
+    # (a null_space basis peaked at 5.0 n^2 doubles, 7.0 n^2 with fields)
+    import tracemalloc
+
+    msh = mesh.generate_disk(64, 1)
+    n = msh.n_vertices + (msh.n_surface if k_like else 0)  # K = 0 eliminates the trace
+    tracemalloc.start()
+    try:
+        eigen.norm_equivalence_constants(msh, ProblemParams(K=k_like), return_fields=return_fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n ** 2
 
 
 def test_norm_equivalence_rejects_an_indefinite_energy_matrix(small_disk, monkeypatch):
