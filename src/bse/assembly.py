@@ -232,30 +232,22 @@ class Discretization:
     solver of a key (K or L, alpha or beta, mean, gamma), built on first use
     and kept until another key is asked for (a refine-6 LU takes 1.6 GB).  The
     solver is multigrid CG where ``solve_constrained``'s "auto" picks it, else
-    (always with ``direct``) the bordered SuperLU.  The forms and reduced
-    patterns' orders stay in ``mesh.cache``: arrays and sparse matrices only.
-    ``counts``: solvers built, that cache's hits and misses."""
+    (always with ``direct``) the bordered SuperLU.  The forms stay in
+    ``mesh.cache`` as four sparse matrices.  ``counts``: solvers built, the
+    forms cache's hits and misses."""
 
     def __init__(self, mesh: Mesh, direct=False):
         self.mesh, self.direct, self._systems, self._solver = mesh, direct, {}, None
-        self.counts = {"solvers": {"splu": 0, "mg-cg": 0}, "forms": {"hits": 0, "misses": 0},
-                       "orders": {"hits": 0, "misses": 0}}
-
-    def _cached(self, kind, key, build):
-        hit = key in self.mesh.cache
-        self.counts[kind]["hits" if hit else "misses"] += 1
-        return self.mesh.cache[key] if hit else self.mesh.cache.setdefault(key, build())
+        self.counts = {"solvers": {"splu": 0, "mg-cg": 0}, "forms": {"hits": 0, "misses": 0}}
 
     @functools.cached_property
     def forms(self) -> BasicForms:
-        def build():
+        hit = "forms" in self.mesh.cache
+        self.counts["forms"]["hits" if hit else "misses"] += 1
+        if not hit:
             f = assemble_basic(self.mesh)
-            return f.a_bulk, f.m_bulk, f.a_surf, f.m_surf
-        return BasicForms(self.mesh, *self._cached("forms", "forms", build))
-
-    def _order(self, a_red, points):  # the pattern fixes the retained unknowns, so the points
-        return self._cached("orders", (a_red.indptr.tobytes(), a_red.indices.tobytes()),
-                            lambda: linalg.nested_dissection(a_red, points))
+            self.mesh.cache["forms"] = f.a_bulk, f.m_bulk, f.a_surf, f.m_surf
+        return BasicForms(self.mesh, *self.mesh.cache["forms"])
 
     def system(self, *key):
         """Coupled matrix and constraint set, with levels for a multigrid solver."""
@@ -272,7 +264,7 @@ class Discretization:
         a, cs = self.system(*key)
         if self._solver is None:
             self._solver = (linalg.MultigridConstrainedSolver(a, cs) if cs.levels
-                            else linalg.FactorizedConstrainedSolver(a, cs, ordering=self._order))
+                            else linalg.FactorizedConstrainedSolver(a, cs))
             self.counts["solvers"][self._solver.method] += 1
         return self._solver
 

@@ -158,7 +158,10 @@ def _build_mesh(geo):
         if not isinstance(path, str):
             raise InvalidArgumentError(f"geometry.type 'file' requires a string geometry.path, "
                                        f"got {path!r}")
-        return meshmod.read_mesh(path)
+        try:
+            return meshmod.read_mesh(path)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot read mesh file: {exc}") from None
     raise InvalidArgumentError(f"unknown geometry type {gtype!r}")
 
 

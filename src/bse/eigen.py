@@ -16,7 +16,7 @@ Eigenvectors are used as ARPACK or LAPACK returns them, B-orthonormal; the
 residual and B-Gram checks of every result confirm it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ MIN_EIGENVALUE = 1e-12
 @dataclass(eq=False)
 class EigenResult:
     """Ascending eigenvalues with B-orthonormal eigenfields, as the eigensolver
-    returns them.
+    returns them: data only, no pencil or solver outlives the call.
 
     ``residuals`` holds the per-pair relative pencil residual, ``gram_defect``
     the largest deviation of the B-Gram matrix from identity, and
@@ -54,7 +54,6 @@ class EigenResult:
     method: str = "arpack"
     op_applications: int = 0
     counts: dict | None = None
-    _pencil: tuple = field(repr=False, default=None)
 
 
 def _multiplicities(w):
@@ -127,7 +126,7 @@ def _finalize(disc, w, y, a, apply_b, solver, chat, method, op_applications):
     fields = [CoupledField.from_vector(disc.mesh, full[:, j]) for j in range(len(w))]
     return EigenResult(eigenvalues=w, fields=fields, residuals=residuals,
                        gram_defect=gram_defect, multiplicities=_multiplicities(w), method=method,
-                       op_applications=op_applications, counts=disc.counts, _pencil=(a, apply_b, y, chat))
+                       op_applications=op_applications, counts=disc.counts)
 
 
 @np.errstate(over="raise", invalid="raise")  # B of a singular inner system of eig4 overflows
@@ -144,7 +143,7 @@ def _smallest(disc, solver, b_apply, k):
     a, r = solver.a_red, solver.r
     chat = solver.c_red / safe_norm(solver.c_red)
 
-    def apply_b(x):  # R^T B R through r alone: the result's B keeps no factorization
+    def apply_b(x):  # R^T B R
         return b_apply(x) if r is None else r.T @ b_apply(r @ x)
 
     if k >= n - 2:  # beyond ARPACK: k < dim - 1 on the hyperplane of dim n - 1
@@ -264,31 +263,3 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     fields = [CoupledField.from_vector(mesh, red.expand(y[:, j])) for j in (0, -1)]
     return a_h, b_h, fields[0], fields[1]
 
-
-def minimax_check(result: EigenResult, trials: int, seed=0) -> float:
-    """Sampled verification of the variational principle.
-
-    For each computed eigenvalue, random vectors of the constrained space in
-    the B-orthogonal complement of the preceding eigenvectors must have
-    Rayleigh quotient at least lambda_j, and the quotient at the eigenvector
-    itself must equal lambda_j.  Returns the largest violation found
-    (negative slack means a genuine violation; roundoff-level values are
-    expected).
-    """
-    a, b, y, chat = result._pencil
-    w = result.eigenvalues
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for j in range(len(w)):
-        yj = y[:, j]
-        q = float(yj @ (a @ yj)) / float(yj @ b(yj))
-        worst = max(worst, abs(q - w[j]) / max(abs(w[j]), 1e-30))
-        prev = y[:, :j]
-        bprev = b(prev) if j else None
-        for _ in range(trials):
-            v = _project(chat, rng.standard_normal(a.shape[0]))
-            if j:
-                v = v - prev @ (bprev.T @ v)
-            q = float(v @ (a @ v)) / float(v @ b(v))
-            worst = max(worst, (w[j] - q) / max(abs(w[j]), 1e-30))
-    return worst

@@ -268,17 +268,16 @@ class FactorizedConstrainedSolver(ReducedSystem):
     [[A_red, c_red], [c_red^T, 0]] (of A_red alone without a mean
     constraint), reused across many right-hand sides.  The unknowns are
     factored in ``nested_dissection`` order, the border last; SuperLU keeps
-    that order and prefers diagonal pivots: partial pivoting would undo it.
-    ``ordering`` maps (A_red, points) to that order, computed or looked up."""
+    that order and prefers diagonal pivots: partial pivoting would undo it."""
 
     method = "splu"
 
-    def __init__(self, a, cs: ConstraintSet, ordering=None):
+    def __init__(self, a, cs: ConstraintSet):
         super().__init__(a, cs)
         # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
         import scipy.sparse.linalg as spla
 
-        order = (ordering or nested_dissection)(self.a_red, self.points)
+        order = nested_dissection(self.a_red, self.points)
         self._order, self._inv = order, np.argsort(order)
         a_perm = self.a_red[order][:, order]
         if self.c_red is None:

@@ -44,7 +44,8 @@ class Mesh:
         Nodal interpolation from the parent's bulk vertices and then surface
         nodes to this mesh's: each new node averages the two it bisects.
     cache : dict
-        Arrays and sparse matrices that ``assembly.Discretization`` keeps.
+        The sparse matrices of the basic forms, which
+        ``assembly.Discretization`` keeps.
     """
 
     vertices: np.ndarray
@@ -158,19 +159,6 @@ def _validate(vertices, triangles, surface):
     if euler != 1:
         raise InvariantViolationError(f"Euler characteristic V-E+T = {euler}, expected 1")
     return m
-
-
-def triangle_aspect_ratios(mesh: Mesh):
-    """Per-triangle aspect ratio: longest edge over twice the inradius."""
-    v = mesh.vertices
-    t = mesh.triangles
-    a = np.linalg.norm(v[t[:, 1]] - v[t[:, 2]], axis=1)
-    b = np.linalg.norm(v[t[:, 2]] - v[t[:, 0]], axis=1)
-    c = np.linalg.norm(v[t[:, 0]] - v[t[:, 1]], axis=1)
-    s = 0.5 * (a + b + c)
-    area = _signed_areas(v, t)
-    inradius = area / s
-    return np.maximum(np.maximum(a, b), c) / (2.0 * inradius)
 
 
 def max_edge_length(mesh: Mesh) -> float:

@@ -3,8 +3,7 @@
 Separation of variables turns the coupled eigenproblem on the disk into a
 per-mode transcendental dispersion relation in the eigenvalue; its roots
 are semi-analytic references for the finite-element spectra.  The module
-also carries closed-form circle spectra for the decoupled case and a
-manufactured solution family for convergence studies.
+also carries a manufactured solution family for convergence studies.
 """
 
 import math
@@ -133,17 +132,6 @@ def disk_eigs_second(k_like: float, alpha: float, gamma: float, m_max: int,
     return sorted((DispersionRoot(m=m, lam=lam, multiplicity=1 if m == 0 else 2)
                    for m, lam in zip(mode.tolist(), lams.tolist()) if lam <= lam_max),
                   key=lambda r: r.lam)
-
-
-def circle_surface_eigs(gamma: float, m_max: int) -> list[float]:
-    """Eigenvalues gamma m^2 of the weighted circle Laplacian, each doubled;
-    the constant mode is excluded by the mean constraint."""
-    if gamma <= 0:
-        raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
-    out = []
-    for m in range(1, m_max + 1):
-        out.extend([gamma * m * m, gamma * m * m])
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .assembly import (
     compatibility_scale,
     project_compatible,
 )
-from .errors import IncompatibleSourceError
+from .errors import DomainError, IncompatibleSourceError
 from .linalg import solve_constrained
 from .mesh import Mesh
 
@@ -60,9 +60,15 @@ class SolveReport:
 
 
 def _check_sources(forms, f, g, alpha_like, strict):
-    """Compatibility gate: strict mode rejects, otherwise shift g."""
+    """Compatibility gate: non-finite sources are rejected, then strict mode
+    rejects an incompatible pair, otherwise g is shifted."""
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
+    for name, values in (("f", f), ("g", g)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError(f"source {name} is {values[bad[0]]} at node {bad[0]}: "
+                              "sources must be finite")
     defect = compatibility_defect(forms, f, g, alpha_like)
     scale = compatibility_scale(forms, f, g, alpha_like)
     rel = abs(defect) / scale if scale > 0 else 0.0
@@ -92,9 +98,9 @@ def _solve_stage(disc, key, f, g, strict, stage=None):
 def solve_second(mesh: Mesh, params: ProblemParams, f, g, strict=True) -> SolveReport:
     """Second-order solve: Robin scale K, coupling alpha, mean constraint beta.
 
-    Nodal sources (f, g) must satisfy the alpha-compatibility condition; in
-    strict mode an incompatible pair raises, otherwise g is shifted by a
-    constant first.
+    Nodal sources (f, g) must be finite and satisfy the alpha-compatibility
+    condition; in strict mode an incompatible pair raises, otherwise g is
+    shifted by a constant first.
     """
     disc = Discretization(mesh)
     key = (params.K, params.alpha, params.beta, params.gamma)

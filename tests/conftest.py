@@ -9,7 +9,7 @@ import scipy.special
 # factorization below is not one of the program's
 from scipy.sparse.linalg import splu as _splu
 
-from bse import linalg, oracle
+from bse import assembly, linalg, oracle
 from bse import mesh as meshmod
 
 
@@ -63,6 +63,45 @@ def _dense_constrained_eigs(a, b, cs, k):
                     subset_by_index=[0, k - 1])
 
 
+def _minimax_check(result, mesh, params, trials, seed=0, fourth=False):
+    """Sampled check of the variational principle for an ``eig_second`` (or,
+    with ``fourth``, ``eig_fourth``) result on ``mesh``.  The pencil is rebuilt
+    from public data: A the (K, alpha, gamma) energy matrix, B the block mass M
+    or M A_L^+ M with A_L^+ a FactorizedConstrainedSolver of the (L, beta)
+    system, on the alpha- (beta-) mean-constrained space, spanned as in
+    ``dense_constrained_eigs``.  At eigenvector j the Rayleigh quotient must
+    equal lambda_j; random vectors of the space B-orthogonal to the preceding
+    eigenvectors must have quotient at least lambda_j.  Returns the largest
+    relative violation: roundoff-level values are expected."""
+    forms = assembly.assemble_basic(mesh)
+    a = assembly.assemble_coupled(forms, params.K, params.alpha, params.gamma)
+    cs = assembly.build_constraints(forms, params.K, params.alpha,
+                                    params.beta if fourth else params.alpha, multigrid=False)
+    mass = forms.block_mass
+    if fourth:
+        inner = linalg.FactorizedConstrainedSolver(
+            assembly.assemble_coupled(forms, params.L, params.beta, params.gamma),
+            assembly.build_constraints(forms, params.L, params.beta, params.alpha, multigrid=False))
+
+        def b(x):
+            return mass @ inner.solve(mass @ x)
+    else:
+        b = mass.dot
+    r = cs.reduction_matrix().toarray() if cs.has_elimination else np.eye(cs.n)
+    basis = r @ sla.null_space((r.T @ cs.mean_vector)[None, :])
+    x = np.column_stack([f.to_vector() for f in result.fields])
+    bx = b(x)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for j, lam in enumerate(result.eigenvalues):
+        worst = max(worst, abs(x[:, j] @ (a @ x[:, j]) / (x[:, j] @ bx[:, j]) - lam) / lam)
+        for _ in range(trials):
+            v = basis @ rng.standard_normal(basis.shape[1])
+            v -= x[:, :j] @ (bx[:, :j].T @ v)
+            worst = max(worst, (lam - v @ (a @ v) / (v @ b(v))) / lam)
+    return worst
+
+
 @pytest.fixture(scope="session")
 def dense_bordered_solve():
     return _dense_bordered_solve
@@ -76,6 +115,11 @@ def default_order_solve():
 @pytest.fixture(scope="session")
 def dense_constrained_eigs():
     return _dense_constrained_eigs
+
+
+@pytest.fixture(scope="session")
+def minimax_check():
+    return _minimax_check
 
 
 @pytest.fixture

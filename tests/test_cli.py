@@ -102,7 +102,6 @@ def test_run_solve4_reports_intermediate(tmp_path):
     ("eig2", {"K": 0.0}, 1), ("eig4", {"K": 1.0, "L": 2.0, "beta": 0.5}, 2), ("poincare", {}, 1),
 ])
 def test_summary_counts_solvers_and_cache(tmp_path, task, params, solvers):
-    # both systems of a two-system task share one sparsity pattern and so one order
     cfg = write_config(tmp_path, "counts.json", {
         "geometry": {"type": "disk", "n_boundary": 16, "refine": 1},
         "params": params, "task": task, "eig": {"k": 3},
@@ -112,8 +111,7 @@ def test_summary_counts_solvers_and_cache(tmp_path, task, params, solvers):
     assert cli.run(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["counts"] == {"solvers": {"splu": solvers, "mg-cg": 0},
-                                 "forms": {"hits": 0, "misses": 1},
-                                 "orders": {"hits": solvers - 1, "misses": 1}}
+                                 "forms": {"hits": 0, "misses": 1}}
 
 
 @pytest.mark.parametrize("task", ["solve2", "solve4"])
@@ -240,6 +238,21 @@ def test_domain_error_in_source_exits_2(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "domain-error"
     assert err["message"].startswith("log of negative argument -")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("f,value", [("1/0", "inf"), ("0/0", "nan"), ("log(0)", "-inf")])
+def test_non_finite_source_is_a_domain_error(tmp_path, f, value):
+    # before the compatibility gate, whose NaN defect would pass as compatible
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "inf.json", {
+        "task": "solve2", "geometry": {"n_boundary": 16},
+        "sources": {"f": f, "g": "0"}, "output": {"dir": str(out)},
+    })
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "domain-error"
+    assert err["message"].startswith(f"source f is {value} at node 0")
     assert not (out / "summary.json").exists()
 
 
@@ -463,6 +476,18 @@ def test_bad_mesh_file_is_a_parse_error(tmp_path, data):
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "parse-error"
     assert "line" in err["message"]
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_unreadable_mesh_file_is_an_invalid_argument(tmp_path, name):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "file.json", {
+        "geometry": {"type": "file", "path": str(tmp_path / name)}, "task": "solve2",
+        "sources": {"f": "1", "g": "-1"}, "output": {"dir": str(out)}})
+    assert cli.run(cfg) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert err["message"].startswith("cannot read mesh file: ")
 
 
 @pytest.mark.parametrize("vertices,area", [

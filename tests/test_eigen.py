@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,23 +248,19 @@ def test_norm_equivalence(disk, k_like):
     assert solver.norm_ka(forms, p, f_lo) == pytest.approx(b_h * h1_norm(f_lo), rel=1e-8)
 
 
-def test_minimax_check_and_negative_control(small_disk):
+def test_minimax_check_and_negative_control(small_disk, minimax_check):
     p = ProblemParams(K=1.0, alpha=1.0, gamma=1.0)
     res = eigen.eig_second(small_disk, p, k=5)
-    violation = eigen.minimax_check(res, trials=30, seed=3)
+    violation = minimax_check(res, small_disk, p, trials=30, seed=3)
     assert violation <= 1e-10
     # perturbing an eigenvector must produce a detectable violation
-    a, b, y, chat = res._pencil
-    y_bad = y.copy()
+    c = assembly.build_constraints(assembly.assemble_basic(small_disk), p.K, p.alpha, p.alpha).mean_vector
     rng = np.random.default_rng(4)
-    # a perturbation inside the constrained space {c.x = 0}, unit normal chat
-    r = rng.standard_normal(y.shape[0])
-    y_bad[:, 0] += 0.2 * (r - (chat @ r) * chat)
-    bad = eigen.EigenResult(eigenvalues=res.eigenvalues, fields=res.fields,
-                            residuals=res.residuals, gram_defect=res.gram_defect,
-                            multiplicities=res.multiplicities,
-                            _pencil=(a, b, y_bad, chat))
-    assert eigen.minimax_check(bad, trials=30, seed=3) > 1e-6
+    # a perturbation inside the constrained space {c.x = 0}
+    r = rng.standard_normal(c.shape[0])
+    x_bad = res.fields[0].to_vector() + 0.2 * (r - (c @ r) / (c @ c) * c)
+    bad = dataclasses.replace(res, fields=[CoupledField.from_vector(small_disk, x_bad)] + res.fields[1:])
+    assert minimax_check(bad, small_disk, p, trials=30, seed=3) > 1e-6
 
 
 def test_eig_argument_validation(small_disk):

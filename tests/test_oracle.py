@@ -66,14 +66,6 @@ def test_mode_constraint_conservation():
         assert abs(alpha * bulk + surf) <= 1e-8 * scale
 
 
-def test_circle_surface_eigs():
-    assert oracle.circle_surface_eigs(1.0, 3) == [1.0, 1.0, 4.0, 4.0, 9.0, 9.0]
-    assert oracle.circle_surface_eigs(2.0, 2) == [2.0, 2.0, 8.0, 8.0]
-    assert oracle.circle_surface_eigs(1.0, 0) == []
-    with pytest.raises(InvalidArgumentError):
-        oracle.circle_surface_eigs(0.0, 3)
-
-
 def test_manufactured_examples():
     man = oracle.manufactured_second(1.0, 2.0, 1.0)
     assert man.f_value() == -4.0

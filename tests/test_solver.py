@@ -5,7 +5,7 @@ import pytest
 
 from bse import assembly, expr, mesh, oracle, solver
 from bse.assembly import CoupledField, ProblemParams
-from bse.errors import IncompatibleSourceError
+from bse.errors import DomainError, IncompatibleSourceError
 
 RNG = np.random.default_rng(42)
 
@@ -47,6 +47,18 @@ def test_strict_gate_and_autoprojection(disk):
     scale = assembly.compatibility_scale(forms, f, g, p.alpha)
     assert abs(rep.defect_compat) > 1e-10 * scale
     assert abs(rep.defect_compat_post) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_non_finite_sources_are_rejected(disk, strict):
+    p = ProblemParams(K=1.0, alpha=2.0, beta=1.0)
+    f, g = np.zeros(disk.n_vertices), np.zeros(disk.n_surface)
+    f[3] = np.nan
+    with pytest.raises(DomainError, match="^source f is nan at node 3"):
+        solver.solve_second(disk, p, f, g, strict=strict)
+    f[3], g[5] = 0.0, -np.inf
+    with pytest.raises(DomainError, match="^source g is -inf at node 5"):
+        solver.solve_second(disk, p, f, g, strict=strict)
 
 
 def test_manufactured_solution_accuracy():
