@@ -6,6 +6,7 @@ numbering and bulk vertex numbering.  Meshes are immutable after
 construction and validated against the structural invariants below.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,19 +279,113 @@ def _refine(mesh: Mesh) -> Mesh:
 # ---------------------------------------------------------------------------
 
 def table(*columns, sep=" ", end="\n"):
-    """Equal-length columns as text, one line per row: integers in decimal,
-    floats with 17 significant digits (they read back as the same double).
-    Every text artifact is written by it, one ``%`` per block of 4096 rows:
-    one ``%`` over a whole refine-5 mesh raised the peak RSS of the write by 16 MB."""
-    row = sep.join("%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns) + end
-    values = np.column_stack(columns)
-    blocks = (values[i:i + 4096] for i in range(0, len(values), 4096))
-    return "".join(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    """Equal-length columns as text, one line per row: integers as ``%d``,
+    floats as ``%.17g`` (they read back as the same double).  Every text
+    artifact is written by it, 4096 rows at a time: one pass over a whole
+    refine-5 mesh raised the peak RSS of the write by 16 MB.  A block renders
+    each value into a NUL-padded byte record by exact array arithmetic, joins
+    them row by row and drops the NULs; under 128 rows, where that costs more
+    than it saves, ``%`` renders the block."""
+    cols = [c if c.dtype.kind in "iu" else c.astype(np.float64) for c in map(np.asarray, columns)]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns of unequal length {[len(c) for c in cols]}")
+    seps = [sep] * (len(cols) - 1) + [end]
+    row = "".join(("%d" if c.dtype.kind in "iu" else "%.17g") + s for c, s in zip(cols, seps))
+    out = []
+    for i in range(0, len(cols[0]), 4096):
+        block = [c[i:i + 4096] for c in cols]
+        if len(block[0]) < 128:
+            out.append(row * len(block[0]) % tuple(v for r in zip(*(b.tolist() for b in block)) for v in r))
+            continue
+        fields = []
+        for b, s in zip(block, seps):
+            s = np.frombuffer(s.encode(), np.uint8)
+            fields += [_ints(b) if b.dtype.kind in "iu" else _floats(b), np.broadcast_to(s, (len(b), len(s)))]
+        out.append(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0").decode())
+    return "".join(out)
+
+
+@functools.cache
+def _format_tables():
+    """``table``'s lookup tables, built on first use (see ``_floats``)."""
+    i = np.arange(10000)
+    d = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+    last = np.max(np.where(d != 0, np.arange(1, 5), 0), axis=1)
+    powers = np.array([float(f"1e{k}") for k in range(-6, 23)])  # the doubles nearest 10^k
+    p10 = powers[:5:-1]  # 10^(22 - e) for e in [0, 22], exact doubles, and Dekker's split
+    p10_hi = p10 * 134217729.0 - (p10 * 134217729.0 - p10)
+    top = np.where(np.arange(8) < 7, 255, np.arange(48, 58)[:, None])  # 7 bytes that pass, d0
+    keep = np.where(np.arange(8) >= 7 - np.arange(8)[:, None], 255, 0)  # the last k + 1 digits
+    # a float record's bytes for each (sign, E + 6, L), L the place of the last nonzero
+    # digit, 255 where a digit passes: 0 the sign, 7-23 the digits before the point, 24-30
+    # a '.' or the "0.000" of -4 <= E < 0, 31-47 those after it up to L, 48-51 "e-0X"
+    s, e, l, j = np.ix_(np.arange(2), np.arange(-6, 17), np.arange(17), np.arange(17))
+    fixed = e >= -4  # %g's fixed notation, up to E = 16
+    split = np.where(fixed, e, 0)  # the last digit before the point
+    t = np.zeros((2, 23, 17, 56), np.uint8)
+    t[..., 0] = 45 * s[..., 0]
+    t[..., 7:24] = np.where(j <= split, 255, 0)
+    t[..., 31:48] = np.where((split < j) & (j <= l), 255, 0)
+    q = np.arange(24, 31)
+    t[..., 24:31] = np.where(fixed & (e < 0), np.where(q == 31 + e, 46, np.where(q >= 30 + e, 48, 0)),
+                             np.where((q == 30) & (split < l), 46, 0))
+    t[..., 48:51] = np.where(fixed, 0, np.frombuffer(b"e-0", np.uint8))
+    t[..., 51] = np.where(fixed, 0, 48 - e)[..., 0]
+    words = [a.astype(np.uint8).view(np.uint64).ravel() for a in (top, keep)]
+    return ((d + 48).astype(np.uint8).view(np.uint32).ravel(),  # the digit bytes of 0..9999
+            np.where(last > 0, last + 4 * np.arange(4)[:, None], 0).astype(np.uint8),  # in d1..d16
+            powers, np.stack([p10, p10_hi, p10 - p10_hi]), *words, t.reshape(-1, 56).view(np.uint64))
+
+
+def _floats(x):
+    """56-byte records of ``'%.17g' % v`` for the doubles of ``x``.  Where
+    1e-6 < |v| < 1e17 (the double 1e-6 lies below 10^-6), 10^(16 - E) is an
+    exact double and the digits are N = round(|v| 10^(16 - E)) to even, from
+    Dekker's exact product hi + lo (split by 2^27 + 1).  N < 10^17: no double
+    lies within 5e-18 below a 10^k.  ``%`` renders 0, inf, NaN and the rest."""
+    chunk, last, powers, p10, top, _, templates = _format_tables()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)  # NaN fails both
+    a[~fast] = 1.0
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64) + 6  # E + 6, or one off
+    e += (a >= powers.take(e + 1)) * 1 - (a < powers.take(e))
+    b, b_hi, b_lo = p10.take(e, axis=1)
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    a_lo = a - a_hi
+    hi = a * b
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # hi >= 10^16 - 8 > 2^53 is an even integer, so rint's tie rule on lo is the sum's
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    q, r = n // 10 ** 8, n % 10 ** 8  # the digits d0-d8 and d9-d16
+    d0, c = q // 10 ** 8, [q // 10000 % 10000, q % 10000, r // 10000, r % 10000]  # d1-d4 ... d13-d16
+    src = np.empty((7, len(x)), np.uint64)  # the record's words: d0, d1-d8, d9-d16, again, all
+    src[0], src[6] = top.take(d0), 2 ** 64 - 1
+    src[1:3] = np.stack([chunk.take(k) for k in c], axis=1).view(np.uint64).T
+    src[3:6] = src[:3]
+    place = np.max([last[k].take(c[k]) for k in range(4)], axis=0)
+    rec = (templates.take((np.signbit(x) * 23 + e) * 17 + place, axis=0) & src.T).view(np.uint8)
+    if not fast.all():
+        rec[~fast] = np.array(["%.17g" % v for v in x[~fast].tolist()], "S56").view(np.uint8).reshape(-1, 56)
+    return rec
+
+
+def _ints(v):
+    """8-byte records of ``'%d' % i`` for the integers of ``v``, 20-byte ones
+    if some are negative or above 8 digits (``%`` renders those)."""
+    chunk, *_, keep, _ = _format_tables()
+    fast = (v >= 0) & (v < 10 ** 8)
+    w = np.where(fast, v, 0).astype(np.int64)
+    rec = np.stack([chunk.take(w // 10000), chunk.take(w % 10000)], axis=1).view(np.uint64)[:, 0]
+    rec = (rec & keep.take(np.searchsorted(10 ** np.arange(1, 8), w, "right"))).view(np.uint8).reshape(-1, 8)
+    if not fast.all():
+        rec = np.concatenate([np.zeros((len(v), 12), np.uint8), rec], axis=1)
+        rec[~fast] = np.array(["%d" % i for i in v[~fast].tolist()], "S20").view(np.uint8).reshape(-1, 20)
+    return rec
 
 
 def write_mesh(mesh: Mesh, path):
     """Write the text format: header, vertices, triangles, surface cycle."""
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines([f"{MESH_FORMAT_HEADER}\n",
                        f"vertices {mesh.n_vertices}\n", table(*mesh.vertices.T),
                        f"triangles {mesh.n_triangles}\n", table(*mesh.triangles.T),

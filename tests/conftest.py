@@ -434,7 +434,7 @@ def scalar_eval_on_points():
 # ---------------------------------------------------------------------------
 
 def _per_line_write_mesh(mesh, path):
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{meshmod.MESH_FORMAT_HEADER}\n")
         fh.write(f"vertices {mesh.n_vertices}\n")
         for x, y in mesh.vertices:

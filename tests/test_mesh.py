@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +101,71 @@ def test_roundtrip_identity(tmp_path, per_line_write_mesh):
         mesh.write_mesh(m, path)
         per_line_write_mesh(m, ref)
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _per_value_table(columns, sep=" ", end="\n"):
+    """``mesh.table``'s text with one ``%`` per value: integer columns as
+    ``%d``, every other column as ``%.17g``."""
+    formats = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns]
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join(sep.join(f % v for f, v in zip(formats, row)) + end for row in rows)
+
+
+def _assert_same_text(got, want, context=""):
+    # names the first differing line: pytest's own diff of megabyte strings takes minutes
+    if got != want:
+        pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"{context} line {line}: {a!r} != {b!r}")
+
+
+def _adversarial_floats(rng):
+    bits = rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(np.float64)  # every exponent
+    powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # odd q 2^-j in [1e15, 1e16), exact ties of the 17th digit for j = 2, and for each
+    # decade 10^(16-k) the ties odd m 2^-(k+1), whose |x| 10^k is m 5^k / 2
+    ties = [(rng.integers(10 ** 15 * 2 ** (j - 1), 2 ** 52, 2000) * 2 + 1) * 2.0 ** -j for j in (1, 2, 3)]
+    for k in range(1, 23):
+        lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), min(2.0 ** 53, 10.0 ** (17 - k) * 2 ** (k + 1))
+        ties.append((rng.integers(int(lo) // 2 + 1, int(hi) // 2, 1000) * 2 + 1) * 2.0 ** -(k + 1))
+    ties = np.concatenate(ties)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-6, 1e17, 5e-324, 1.7976931348623157e308])
+    magnitudes = 10.0 ** rng.uniform(-9, 18, 30_000)
+    values = np.concatenate([bits, near, ties, special, magnitudes])
+    return np.concatenate([values, -values])
+
+
+def test_table_matches_per_value_format():
+    # the array path renders every double and integer as % does, in blocks of 4096 rows
+    rng = np.random.default_rng(20261020)
+    floats = _adversarial_floats(rng)
+    _assert_same_text(mesh.table(floats, floats[::-1]), _per_value_table([floats, floats[::-1]]))
+    ints = np.concatenate([[0, 1, 9, 10, 99_999_999, 10 ** 8, 2 ** 31 - 1, 2 ** 63 - 1, -1, -2 ** 63],
+                           rng.integers(0, 10 ** 8, 5000), rng.integers(-2 ** 63, 2 ** 63, 500)])
+    for column in (ints, ints[ints >= 0].astype(np.uint64), rng.integers(0, 10 ** 8, 4096)):
+        _assert_same_text(mesh.table(column), _per_value_table([column]), column.dtype)
+    # rows around the block size and the 128-row threshold, mixed columns and separators
+    for n in (0, 1, 127, 128, 4095, 4096, 4097):
+        columns = [np.arange(n), np.resize(floats, n), np.resize(ints, n), list(np.resize(floats[::7], n))]
+        for sep, end in ((" ", "\n"), (",", "\n"), (",", ",,\n")):
+            _assert_same_text(mesh.table(*columns, sep=sep, end=end), _per_value_table(columns, sep, end),
+                              f"{n} rows, sep {sep!r}, end {end!r}:")
+    with pytest.raises(ValueError):
+        mesh.table(np.arange(5000), np.zeros(4096))
+
+
+def test_write_mesh_writes_newline_bytes(tmp_path, monkeypatch):
+    # text mode would translate "\n" to os.linesep; the format's lines end in "\n"
+    newlines = []
+
+    def spy(*args, **kwargs):
+        newlines.append(kwargs.get("newline"))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(mesh, "open", spy, raising=False)
+    mesh.write_mesh(mesh.generate_disk(8, 0), tmp_path / "disk.txt")
+    assert newlines == ["\n"]
 
 
 def test_read_rejects_zero_area_triangle(tmp_path):
