@@ -19,13 +19,6 @@ from .mesh import Mesh, measures
 MEAN_DEGENERACY_REL_TOL = 1e-12
 
 
-def sigma(k_like: float) -> float:
-    """Robin coupling weight: 1/K for K > 0, 0 in the Dirichlet limit K = 0."""
-    if k_like < 0:
-        raise InvalidArgumentError(f"Robin parameter must be >= 0, got {k_like}")
-    return 1.0 / k_like if k_like > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Scalar data of the coupled system.
@@ -159,14 +152,17 @@ def assemble_coupled(forms: BasicForms, k_like: float, alpha_like: float,
 
     [[A_bulk + s T' M_s T,  -alpha s T' M_s ],
      [  -alpha s M_s T,     gamma A_s + alpha^2 s M_s]]
-    with s = sigma(k_like); symmetric positive semidefinite with kernel
-    spanned by the constant pair (alpha, 1).
+    with the Robin weight s = 1/K, and s = 0 in the Dirichlet limit K = 0;
+    symmetric positive semidefinite with kernel spanned by the constant pair
+    (alpha, 1).
     """
+    if k_like < 0:
+        raise InvalidArgumentError(f"Robin parameter must be >= 0, got {k_like}")
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be > 0, got {gamma}")
-    s = sigma(k_like)
+    s = 1.0 / k_like if k_like > 0 else 0.0
     a_bulk, a_surf = forms.a_bulk, gamma * forms.a_surf
-    if s == 0.0:
+    if s == 0.0:  # no coupling blocks: alpha^2 s would overflow for |alpha| > 1.3e154
         return _from_blocks(forms.n_total, [[a_bulk, None], [None, a_surf]])
     # a float product overflows to inf where ** raises; finite, it bounds s and alpha s
     if not np.isfinite(float(alpha_like) * float(alpha_like) * s):
@@ -231,8 +227,8 @@ class Discretization:
     """The systems of one mesh for one call: coupled matrix, constraint set and
     solver of a key (K or L, alpha or beta, mean, gamma), built on first use
     and kept until another key is asked for (a refine-6 LU takes 1.6 GB).  The
-    solver is multigrid CG where ``solve_constrained``'s "auto" picks it, else
-    (always with ``direct``) the bordered SuperLU.  The forms stay in
+    solver is ``linalg.constrained_solver``'s; with ``direct`` the constraint
+    set has no levels, so it is the bordered SuperLU.  The forms stay in
     ``mesh.cache`` as four sparse matrices.  ``counts``: solvers built, the
     forms cache's hits and misses."""
 
@@ -250,21 +246,19 @@ class Discretization:
         return BasicForms(self.mesh, *self.mesh.cache["forms"])
 
     def system(self, *key):
-        """Coupled matrix and constraint set, with levels for a multigrid solver."""
+        """Coupled matrix and constraint set, with refinement levels unless ``direct``."""
         if key not in self._systems:
             self._systems, self._solver = {}, None  # the last key's, freed before the next is built
             k_like, alpha_like, mean_like, gamma = key
-            n_red = self.mesh.n_vertices + (self.mesh.n_surface if k_like else 0)  # K = 0: no traces
-            multigrid = not self.direct and n_red >= linalg.MG_MIN_UNKNOWNS
             self._systems[key] = (assemble_coupled(self.forms, k_like, alpha_like, gamma),
-                                  build_constraints(self.forms, k_like, alpha_like, mean_like, multigrid))
+                                  build_constraints(self.forms, k_like, alpha_like, mean_like,
+                                                    not self.direct))
         return self._systems[key]
 
     def solver(self, *key):
         a, cs = self.system(*key)
         if self._solver is None:
-            self._solver = (linalg.MultigridConstrainedSolver(a, cs) if cs.levels
-                            else linalg.FactorizedConstrainedSolver(a, cs))
+            self._solver = linalg.constrained_solver(a, cs)
             self.counts["solvers"][self._solver.method] += 1
         return self._solver
 

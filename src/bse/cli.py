@@ -41,7 +41,8 @@ def _write_csv(path, header, *columns):
     from .mesh import table
 
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + table(*columns, sep=","))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(table(*columns, sep=","))
 
 
 def _fail(exc, outdir=None):
@@ -315,10 +316,10 @@ def _task_convergence(cfg, params, outdir):
     eoc_l2 = eoc(e_l2, hs)
     eoc_en = eoc(e_en, hs)
     with open(os.path.join(outdir, "convergence.csv"), "w", encoding="ascii", newline="\n") as fh:
+        # the first level has no EOC: its two cells stay blank
         fh.write("h,error_L2,error_energy,eoc_L2,eoc_energy\n"
-                 # the first level has no EOC: its two cells stay blank
-                 + table(hs[:1], e_l2[:1], e_en[:1], sep=",", end=",,\n")
-                 + table(hs[1:], e_l2[1:], e_en[1:], eoc_l2, eoc_en, sep=","))
+                 "%.17g,%.17g,%.17g,,\n" % (hs[0], e_l2[0], e_en[0]))
+        fh.writelines(table(hs[1:], e_l2[1:], e_en[1:], eoc_l2, eoc_en, sep=","))
     return {
         "levels": max_refine + 1,
         "eoc_L2": eoc_l2,

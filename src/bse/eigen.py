@@ -140,11 +140,11 @@ def _smallest(disc, solver, b_apply, k):
     n = solver.n_red
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, {n - 1}], got {k}")
-    a, r = solver.a_red, solver.r
+    a = solver.a_red
     chat = solver.c_red / safe_norm(solver.c_red)
 
     def apply_b(x):  # R^T B R
-        return b_apply(x) if r is None else r.T @ b_apply(r @ x)
+        return solver.reduce_rhs(b_apply(solver.expand(x)))
 
     if k >= n - 2:  # beyond ARPACK: k < dim - 1 on the hyperplane of dim n - 1
         w, y = _dense(solver.c_red, a.toarray(order="F"), np.asfortranarray(apply_b(np.eye(n))),
@@ -245,7 +245,7 @@ def norm_equivalence_constants(mesh: Mesh, params: ProblemParams, return_fields=
     forms = disc.forms
     red = ReducedSystem(*disc.system(params.K, params.alpha, params.beta, params.gamma))
     h1 = sp.block_diag([forms.a_bulk + forms.m_bulk, forms.a_surf + forms.m_surf], format="csr")
-    h1 = h1 if red.r is None else red.r.T @ h1 @ red.r
+    h1 = red.r.T @ h1 @ red.r
     a, b = red.a_red.toarray(order="F"), h1.toarray(order="F")
     # H1 is SPD, so its Cholesky factor reduces the pencil; an energy matrix that
     # is not positive definite shows as w[0] <= 0.  Without vectors LAPACK's

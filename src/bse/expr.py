@@ -174,11 +174,6 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expr, x: float, y: float) -> float:
-    """IEEE double value at the point (x, y), the one-point ``eval_on_points``."""
-    return float(eval_on_points(e, [[x, y]])[0])
-
-
 def _power(a, b):
     """``np.power``, with the shortcuts NumPy takes for a constant exponent of
     2, 0.5 or -1 (square, sqrt, reciprocal) applied point by point where the

@@ -278,31 +278,29 @@ def _refine(mesh: Mesh) -> Mesh:
 # Plain-text files
 # ---------------------------------------------------------------------------
 
-def table(*columns, sep=" ", end="\n"):
+def table(*columns, sep=" "):
     """Equal-length columns as text, one line per row: integers as ``%d``,
     floats as ``%.17g`` (they read back as the same double).  Every text
-    artifact is written by it, 4096 rows at a time: one pass over a whole
-    refine-5 mesh raised the peak RSS of the write by 16 MB.  A block renders
-    each value into a NUL-padded byte record by exact array arithmetic, joins
-    them row by row and drops the NULs; under 128 rows, where that costs more
-    than it saves, ``%`` renders the block."""
-    cols = [c if c.dtype.kind in "iu" else c.astype(np.float64) for c in map(np.asarray, columns)]
+    artifact is written block by block as this yields 4096 rows at a time,
+    so a write holds one block, not the file.  A block renders each value
+    into a NUL-padded byte record by exact array arithmetic, joins them row
+    by row and drops the NULs; under 128 rows, where that costs more than it
+    saves, ``%`` renders the block."""
+    cols = [c if c.dtype.kind in "iu" else np.asarray(c, np.float64) for c in map(np.asarray, columns)]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns of unequal length {[len(c) for c in cols]}")
-    seps = [sep] * (len(cols) - 1) + [end]
+    seps = [sep] * (len(cols) - 1) + ["\n"]
     row = "".join(("%d" if c.dtype.kind in "iu" else "%.17g") + s for c, s in zip(cols, seps))
-    out = []
     for i in range(0, len(cols[0]), 4096):
         block = [c[i:i + 4096] for c in cols]
         if len(block[0]) < 128:
-            out.append(row * len(block[0]) % tuple(v for r in zip(*(b.tolist() for b in block)) for v in r))
+            yield row * len(block[0]) % tuple(v for r in zip(*(b.tolist() for b in block)) for v in r)
             continue
         fields = []
         for b, s in zip(block, seps):
             s = np.frombuffer(s.encode(), np.uint8)
             fields += [_ints(b) if b.dtype.kind in "iu" else _floats(b), np.broadcast_to(s, (len(b), len(s)))]
-        out.append(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0").decode())
-    return "".join(out)
+        yield np.concatenate(fields, axis=1).tobytes().translate(None, b"\0").decode()
 
 
 @functools.cache
@@ -386,10 +384,11 @@ def _ints(v):
 def write_mesh(mesh: Mesh, path):
     """Write the text format: header, vertices, triangles, surface cycle."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines([f"{MESH_FORMAT_HEADER}\n",
-                       f"vertices {mesh.n_vertices}\n", table(*mesh.vertices.T),
-                       f"triangles {mesh.n_triangles}\n", table(*mesh.triangles.T),
-                       f"surface {mesh.n_surface}\n", table(mesh.surface_nodes)])
+        fh.write(f"{MESH_FORMAT_HEADER}\n")
+        for name, columns in (("vertices", mesh.vertices.T), ("triangles", mesh.triangles.T),
+                              ("surface", [mesh.surface_nodes])):
+            fh.write(f"{name} {len(columns[0])}\n")
+            fh.writelines(table(*columns))
 
 
 def read_mesh(path) -> Mesh:
@@ -428,38 +427,24 @@ def read_mesh(path) -> Mesh:
             raise ParseError(f"bad count in '{name}' section: {len(lines) - pos} lines left", line=ln)
         return count
 
-    nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        text, ln = next_line()
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'x y'", line=ln)
-        try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise ParseError("bad float in vertex line", line=ln) from None
+    def rows(name, parse, shape, bad):
+        """Section ``name``: each line split into the fields of ``shape``
+        (a one-field line is read whole) and read by ``parse``."""
+        out = np.empty((section(name), len(shape.split())), dtype=parse)
+        for row in out:
+            text, ln = next_line()
+            parts = text.split() if len(row) > 1 else [text]
+            if len(parts) != len(row):
+                raise ParseError(f"expected '{shape}'", line=ln)
+            try:
+                row[:] = [parse(p) for p in parts]
+            except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+                raise ParseError(bad, line=ln) from None
+        return out
 
-    nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        text, ln = next_line()
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError("expected 'i j k'", line=ln)
-        try:
-            triangles[i] = [int(p) for p in parts]
-        except (ValueError, OverflowError):  # OverflowError: beyond int64
-            raise ParseError("bad index in triangle line", line=ln) from None
-
-    ns = section("surface")
-    surface = np.empty(ns, dtype=np.int64)
-    for i in range(ns):
-        text, ln = next_line()
-        try:
-            surface[i] = int(text)
-        except (ValueError, OverflowError):  # OverflowError: beyond int64
-            raise ParseError("bad index in surface line", line=ln) from None
+    vertices = rows("vertices", float, "x y", "bad float in vertex line")
+    triangles = rows("triangles", int, "i j k", "bad index in triangle line")
+    surface = rows("surface", int, "i", "bad index in surface line")[:, 0]
 
     if any(text.strip() for text in lines[pos:]):
         raise ParseError("unexpected content after the surface section", line=next_line()[1])

@@ -257,8 +257,8 @@ def test_criterion_08_compatibility_gate():
 
 
 def test_criterion_09_parser_round_trips():
-    ok = expr.evaluate(expr.parse("-2^2"), 0.0, 0.0) == -4.0
-    ok &= expr.evaluate(expr.parse("2+3*4"), 0.0, 0.0) == 14.0
+    ok = expr.eval_on_points(expr.parse("-2^2"), [[0.0, 0.0]])[0] == -4.0
+    ok &= expr.eval_on_points(expr.parse("2+3*4"), [[0.0, 0.0]])[0] == 14.0
     rng = random.Random(90210)
 
     def random_ast(depth):
@@ -281,8 +281,7 @@ def test_criterion_09_parser_round_trips():
         printed = expr.to_string(tree)
         reparsed = expr.parse(printed)
         x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        a = expr.evaluate(tree, x, y)
-        b = expr.evaluate(reparsed, x, y)
+        a, b = (float(expr.eval_on_points(t, [[x, y]])[0]) for t in (tree, reparsed))
         if reparsed == tree and (a == b or (math.isnan(a) and math.isnan(b))):
             exact += 1
     ok &= exact == 1000

@@ -23,11 +23,26 @@ def disk32():
     return mesh.generate_disk(32, 0)
 
 
-def test_sigma():
-    assert assembly.sigma(0.0) == 0.0
-    assert assembly.sigma(2.0) == 0.5
-    with pytest.raises(InvalidArgumentError):
-        assembly.sigma(-1.0)
+def test_assemble_coupled_rejects_negative_robin_parameter(disk8):
+    forms = assembly.assemble_basic(disk8)
+    with pytest.raises(InvalidArgumentError, match="Robin parameter"):
+        assembly.assemble_coupled(forms, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("refine", (1, 3))
+def test_robin_coupling_vanishes_on_the_dirichlet_space(refine):
+    """Robin and Dirichlet coupling in one framework: on the K = 0 space
+    x = R y, where u = alpha v on the boundary, the coupling term
+    (1/K) ||T u - alpha v||^2 of A_K vanishes, so R^T A_K R = R^T A_0 R up to
+    roundoff for every K > 0."""
+    forms = assembly.assemble_basic(mesh.generate_disk(64, refine))
+    for alpha, gamma in ((1.0, 1.0), (1.5, 0.3), (-2.0, 1.0), (0.0, 1.0)):
+        r = assembly.build_constraints(forms, 0.0, alpha, 1.0, multigrid=False).reduction_matrix()
+        a0 = assembly.assemble_coupled(forms, 0.0, alpha, gamma)
+        scale = abs(r.T @ a0 @ r).max()
+        for k_like in (1e-3, 1.0, 1e3):
+            diff = r.T @ (assembly.assemble_coupled(forms, k_like, alpha, gamma) - a0) @ r
+            assert abs(diff).max() <= 1e-13 * scale, (alpha, gamma, k_like)
 
 
 def test_params_validation():
@@ -85,7 +100,7 @@ def test_coupled_block_structure_dirichlet_limit(disk8):
 
 def test_coupled_robin_blocks(disk8):
     forms = assembly.assemble_basic(disk8)
-    s = 0.5  # sigma(2)
+    s = 0.5  # the Robin weight 1/K
     alpha = 3.0
     a = assembly.assemble_coupled(forms, 2.0, alpha, gamma=1.0).toarray()
     nb = forms.n_bulk
@@ -148,7 +163,7 @@ def quadratic_form_oracle(msh, field, k_like, alpha, gamma):
                       - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
         grad = np.array([u @ b, u @ c]) / (2.0 * area)
         total += area * (grad @ grad)
-    s = assembly.sigma(k_like)
+    s = 1.0 / k_like if k_like > 0 else 0.0
     trace = msh.surface_nodes
     ns = msh.n_surface
     lengths = msh.surface_lengths()

@@ -9,7 +9,7 @@ from bse.errors import DomainError, ParseError
 
 
 def ev(text, x=0.0, y=0.0):
-    return expr.evaluate(expr.parse(text), x, y)
+    return float(expr.eval_on_points(expr.parse(text), [[x, y]])[0])
 
 
 def test_documented_precedence_cases():
@@ -121,8 +121,7 @@ def test_thousand_random_round_trips_exact(scalar_eval_on_points):
         assert reparsed == tree
         x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
         with np.errstate(all="ignore"):
-            a = expr.evaluate(tree, x, y)
-            b = expr.evaluate(reparsed, x, y)
+            a, b = (float(expr.eval_on_points(t, [[x, y]])[0]) for t in (tree, reparsed))
         assert a == b or (math.isnan(a) and math.isnan(b))
         for pts in point_sets:
             np.testing.assert_array_equal(expr.eval_on_points(tree, pts),

@@ -103,12 +103,12 @@ def test_roundtrip_identity(tmp_path, per_line_write_mesh):
         assert path.read_bytes() == ref.read_bytes()
 
 
-def _per_value_table(columns, sep=" ", end="\n"):
+def _per_value_table(columns, sep=" "):
     """``mesh.table``'s text with one ``%`` per value: integer columns as
     ``%d``, every other column as ``%.17g``."""
     formats = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns]
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "".join(sep.join(f % v for f, v in zip(formats, row)) + end for row in rows)
+    return "".join(sep.join(f % v for f, v in zip(formats, row)) + "\n" for row in rows)
 
 
 def _assert_same_text(got, want, context=""):
@@ -140,19 +140,20 @@ def test_table_matches_per_value_format():
     # the array path renders every double and integer as % does, in blocks of 4096 rows
     rng = np.random.default_rng(20261020)
     floats = _adversarial_floats(rng)
-    _assert_same_text(mesh.table(floats, floats[::-1]), _per_value_table([floats, floats[::-1]]))
+    _assert_same_text("".join(mesh.table(floats, floats[::-1])), _per_value_table([floats, floats[::-1]]))
     ints = np.concatenate([[0, 1, 9, 10, 99_999_999, 10 ** 8, 2 ** 31 - 1, 2 ** 63 - 1, -1, -2 ** 63],
                            rng.integers(0, 10 ** 8, 5000), rng.integers(-2 ** 63, 2 ** 63, 500)])
     for column in (ints, ints[ints >= 0].astype(np.uint64), rng.integers(0, 10 ** 8, 4096)):
-        _assert_same_text(mesh.table(column), _per_value_table([column]), column.dtype)
+        _assert_same_text("".join(mesh.table(column)), _per_value_table([column]), column.dtype)
     # rows around the block size and the 128-row threshold, mixed columns and separators
     for n in (0, 1, 127, 128, 4095, 4096, 4097):
         columns = [np.arange(n), np.resize(floats, n), np.resize(ints, n), list(np.resize(floats[::7], n))]
-        for sep, end in ((" ", "\n"), (",", "\n"), (",", ",,\n")):
-            _assert_same_text(mesh.table(*columns, sep=sep, end=end), _per_value_table(columns, sep, end),
-                              f"{n} rows, sep {sep!r}, end {end!r}:")
+        for sep in (" ", ","):
+            blocks = list(mesh.table(*columns, sep=sep))
+            assert len(blocks) == -(-n // 4096)  # one string per block of 4096 rows
+            _assert_same_text("".join(blocks), _per_value_table(columns, sep), f"{n} rows, sep {sep!r}:")
     with pytest.raises(ValueError):
-        mesh.table(np.arange(5000), np.zeros(4096))
+        next(mesh.table(np.arange(5000), np.zeros(4096)))
 
 
 def test_write_mesh_writes_newline_bytes(tmp_path, monkeypatch):

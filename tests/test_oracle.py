@@ -72,11 +72,12 @@ def test_manufactured_examples():
     assert man.g_value() == 4.0
     from bse import expr
     u = expr.parse(man.u_expr)
-    assert expr.evaluate(u, 1.0, 0.0) == pytest.approx(1.0 - 7.0 / 4.0, rel=1e-14)
+    assert expr.eval_on_points(u, [[1.0, 0.0]])[0] == pytest.approx(1.0 - 7.0 / 4.0, rel=1e-14)
     assert man.v_value == pytest.approx(5.0 / 8.0, rel=1e-14)
 
     man0 = oracle.manufactured_second(0.0, 1.0, 1.0)
-    assert expr.evaluate(expr.parse(man0.u_expr), 0.0, 0.0) == pytest.approx(-5.0 / 6.0, rel=1e-14)
+    u0 = expr.parse(man0.u_expr)
+    assert expr.eval_on_points(u0, [[0.0, 0.0]])[0] == pytest.approx(-5.0 / 6.0, rel=1e-14)
     assert man0.v_value == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     # continuum compatibility is exact for any K, alpha
