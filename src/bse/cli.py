@@ -130,18 +130,18 @@ def _section(cfg, name):
 
 def _value(sec, name, key, default, kind):
     """``sec[key]`` (``default`` when absent) as ``kind``: a JSON integer for
-    int, a finite JSON number for float.  Anything else, a boolean or a
-    string included, is a validation error naming ``name.key``."""
+    int, a finite JSON number for float, a JSON string for str.  Anything
+    else, a boolean included, is a validation error naming ``name.key``."""
     from .errors import InvalidArgumentError
 
     value = sec.get(key, default)
-    if kind is int and type(value) is int:
+    if kind in (int, str) and type(value) is kind:
         return value
     # compared exactly: NaN, infinities and integers beyond the float range fail
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    raise InvalidArgumentError(f"{name}.{key} must be "
-                               f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
+    expected = {int: "an integer", float: "a finite number", str: "a string"}[kind]
+    raise InvalidArgumentError(f"{name}.{key} must be {expected}, got {value!r}")
 
 
 def _build_mesh(geo):
@@ -181,8 +181,7 @@ def _nodal_sources(cfg, mesh):
     sources = _section(cfg, "sources")
     if "f" not in sources or "g" not in sources:
         raise InvalidArgumentError("solve tasks need sources.f and sources.g expressions")
-    f_ast = expr.parse(str(sources["f"]))
-    g_ast = expr.parse(str(sources["g"]))
+    f_ast, g_ast = (expr.parse(_value(sources, "sources", k, None, str)) for k in ("f", "g"))
     f = expr.eval_on_points(f_ast, mesh.vertices)
     g = expr.eval_on_points(g_ast, mesh.vertices[mesh.surface_nodes])
     strict = sources.get("strict_compat", True)

@@ -79,14 +79,15 @@ class CsrMatrix(sp.csr_matrix):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Dirichlet-type elimination map plus an optional mean-constraint vector.
+    """Dirichlet-type elimination map plus the mean-constraint vector and kernel.
 
     The elimination map sends each eliminated index to a weighted combination
     of retained indices (here always a single (index, weight) pair realizing
     a nodal trace identity).  ``mean_vector`` is a dense functional c with
     the solution required to satisfy c.x = 0; ``kernel`` is the known kernel
-    direction of the operator on the unconstrained space.  ``points`` are the
-    (x, y) coordinates of the unknowns; they order the sparse LU.
+    direction of the operator.  Every solver requires both; a set without
+    them only reads out its elimination.  ``points`` are the (x, y)
+    coordinates of the unknowns; they order the sparse LU.
 
     ``levels`` are sparse prolongations between the retained unknowns of a
     refinement hierarchy, finest first: the first maps onto this set's
@@ -110,8 +111,9 @@ class ConstraintSet:
         targ = np.asarray(self.elim_target, dtype=np.int64)
         if set(elim.tolist()) & set(targ.tolist()):
             raise InvalidArgumentError("eliminated and retained index sets overlap")
-        if self.mean_vector is not None and not np.any(self.mean_vector):
-            raise InvalidArgumentError("mean-constraint vector must be nonzero")
+        for name, v in (("mean_vector", self.mean_vector), ("kernel", self.kernel)):
+            if v is not None and not (np.shape(v) == (self.n,) and np.all(np.isfinite(v)) and np.any(v)):
+                raise InvalidArgumentError(f"{name} must be a finite nonzero ({self.n},) array")
         if np.shape(self.points) != (self.n, 2) or not np.all(np.isfinite(self.points)):
             raise InvalidArgumentError(f"points must be a finite ({self.n}, 2) array")
         rows = [self.n - elim.size] + [p.shape[1] for p in self.levels]
@@ -151,14 +153,16 @@ class ReducedSystem:
     """Constraint-reduced view of A x = b: the reduced matrix R^T A R, the
     reduced mean functional, kernel direction and coordinates, and the maps
     x = R y and R^T b between full and reduced coordinates, R the identity
-    when nothing is eliminated.  Construction checks that the mean
-    constraint pins down the kernel direction."""
+    when nothing is eliminated.  Construction requires the mean functional
+    and the kernel direction and checks that the one pins down the other."""
 
     iterations = 0  # CG iterations of a subclass's last solve
 
     def __init__(self, a, cs: ConstraintSet):
         if cs.n != a.shape[0]:
             raise DimensionMismatchError(f"constraints built for n={cs.n}, matrix has n={a.shape[0]}")
+        if cs.mean_vector is None or cs.kernel is None:
+            raise InvalidArgumentError("constrained solves need the mean functional and the kernel direction")
         self.r, kept = cs.reduction_matrix(), cs.retained()
         self._rt = self.r.T.tocsr()  # once: .T builds a matrix per product (21 against 6 us at refine 2)
         if cs.has_elimination:  # else R = I, and R^T A R would take 21 ms at refine 5
@@ -166,14 +170,10 @@ class ReducedSystem:
             a.sort_indices()
         self.a_red = a.tocsr()
         self.n_red = self.a_red.shape[0]
-        self.c_red = None if cs.mean_vector is None else self.reduce_rhs(cs.mean_vector)
+        self.c_red = self.reduce_rhs(cs.mean_vector)
         # the kernel direction restricts to retained entries (R k_red = k)
-        self.k_red = None if cs.kernel is None else cs.kernel[kept]
+        self.k_red = cs.kernel[kept]
         self.points = cs.points[kept]
-        if self.k_red is None:
-            return
-        if self.c_red is None:
-            raise SingularSystemError("operator has a kernel but no mean constraint was given")
         c, k = (np.ldexp(v, -_exponent(v)) for v in (self.c_red, self.k_red))  # no overflow
         ck = float(c @ k)
         if abs(ck) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(k):
@@ -185,11 +185,11 @@ class ReducedSystem:
     def norm_inf(self):
         return float(np.max(abs(self.a_red) @ np.ones(self.n_red), initial=0.0))
 
-    def backward_error(self, x_red, b_red, res=None):
+    def backward_error(self, x_red, b_red, res):
         """Normwise backward error |res| / (|A| |x| + |b|) of the reduced
-        system, in the infinity norm, with the residual res = b - A x by
-        default; NaN when x or b holds a NaN, so that no tolerance accepts it."""
-        res = b_red - self.a_red @ x_red if res is None else res
+        system, in the infinity norm, for the residual res of x (its sign
+        does not matter); NaN when x or b holds a NaN, so that no tolerance
+        accepts it."""
         denom = self.norm_inf * np.max(np.abs(x_red)) + np.max(np.abs(b_red))
         return float(np.max(np.abs(res)) / denom) if denom != 0 else 0.0
 
@@ -205,16 +205,19 @@ class ReducedSystem:
 
     def _cg(self, b_red, precond, tol, maxiter):
         """SciPy's CG on A_red x = b_red, preconditioned by ``precond``
-        (r -> M^-1 r) and counted in ``iterations``.  With a kernel direction
-        k, b_red and every preconditioned residual lose their component along
-        k, and x moves along k onto c.x = 0 (A k = 0: the residual stays).
+        (r -> M^-1 r) and counted in ``iterations``.  b_red and every
+        preconditioned residual lose their component along the kernel k, and
+        x moves along k onto c.x = 0 (A k = 0: the residual stays).
         Returns x and whether CG reached the relative residual ``tol``: SciPy
         reports success for maxiter = 0 too, and a run that breaks down in
         roundoff (a division by zero) returns x = 0."""
         import scipy.sparse.linalg as spla
 
         k, c = self.k_red, self.c_red
-        deflate = (lambda v: v) if k is None else (lambda v: v - (float(k @ v) / float(k @ k)) * k)
+
+        def deflate(v):
+            return v - (float(k @ v) / float(k @ k)) * k
+
         b_red = deflate(b_red)
         m = spla.LinearOperator(self.a_red.shape, matvec=lambda r: deflate(precond(r)), dtype=float)
         try:
@@ -222,8 +225,7 @@ class ReducedSystem:
                 x, info = spla.cg(self.a_red, b_red, rtol=tol, maxiter=maxiter, M=m, callback=self._count)
         except FloatingPointError:  # broke down in roundoff, as at K = 1e12 on the refine-4 disk
             return np.zeros_like(b_red), False
-        if k is not None:
-            x -= (float(c @ x) / float(c @ k)) * k
+        x -= (float(c @ x) / float(c @ k)) * k
         return x, info == 0 and (maxiter > 0 or not b_red.any())
 
 
@@ -260,38 +262,39 @@ def nested_dissection(a, points):
     return np.argsort(key, kind="stable")
 
 
+def _bordered_lu(a, c, points):
+    """Sparse LU of the bordered matrix [[A, c], [c^T, 0]], the unknowns in
+    ``nested_dissection`` order of ``points`` and the border last; SuperLU
+    keeps that order and prefers diagonal pivots: partial pivoting would
+    undo it.  Returns the SuperLU object and the solve b -> x of
+    A x + mu c = b, c.x = 0 for a vector or a block of columns."""
+    # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
+    import scipy.sparse.linalg as spla
+
+    order = nested_dissection(a, points)
+    inv = np.argsort(order)
+    border = sp.csc_matrix(c[order].reshape(-1, 1))
+    try:
+        lu = spla.splu(sp.bmat([[a[order][:, order], border], [border.T, None]], format="csc"),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(f"constrained system is singular ({exc})") from None
+
+    def solve(b):
+        return lu.solve(np.concatenate([b[order], np.zeros((1,) + b.shape[1:])]))[inv]
+    return lu, solve
+
+
 class FactorizedConstrainedSolver(ReducedSystem):
-    """The reduced system with the sparse LU of its bordered matrix
-    [[A_red, c_red], [c_red^T, 0]] (of A_red alone without a mean
-    constraint), reused across many right-hand sides.  The unknowns are
-    factored in ``nested_dissection`` order, the border last; SuperLU keeps
-    that order and prefers diagonal pivots: partial pivoting would undo it."""
+    """The reduced system with the ``_bordered_lu`` of A_red and c_red,
+    reused across many right-hand sides."""
 
     method = "splu"
 
     def __init__(self, a, cs: ConstraintSet):
         super().__init__(a, cs)
-        # imported here: scipy.sparse.linalg adds ~0.08 s to importing bse
-        import scipy.sparse.linalg as spla
-
-        order = nested_dissection(self.a_red, self.points)
-        self._order, self._inv = order, np.argsort(order)
-        a_perm = self.a_red[order][:, order]
-        if self.c_red is None:
-            big = a_perm.tocsc()
-        else:
-            c = sp.csc_matrix(self.c_red[order].reshape(-1, 1))
-            big = sp.bmat([[a_perm, c], [c.T, None]], format="csc")
-        try:
-            self._lu = spla.splu(big, permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularSystemError(f"constrained system is singular ({exc})") from None
-
-    def solve_reduced(self, b_red):
-        """Solve for reduced right-hand sides, a vector or a block of columns."""
-        border = np.zeros((self._lu.shape[0] - self.n_red,) + b_red.shape[1:])
-        return self._lu.solve(np.concatenate([b_red[self._order], border]))[self._inv]
+        # solve_reduced takes reduced right-hand sides, a vector or a block of columns
+        self._lu, self.solve_reduced = _bordered_lu(self.a_red, self.c_red, self.points)
 
     def solve(self, b_full):
         """Solve for a full-space right-hand side, a vector or a matrix whose
@@ -322,14 +325,14 @@ class MultigridConstrainedSolver(ReducedSystem):
     Applications*, 1985): Galerkin coarse matrices P^T A P of the given
     prolongations P, damped block-Jacobi smoothing over each level's ``pairs``
     (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001) and, on the coarsest
-    level, the bordered sparse LU of FactorizedConstrainedSolver with border P^T c."""
+    level, the ``_bordered_lu`` of P^T A P with border P^T c."""
 
     method = "mg-cg"
 
     def __init__(self, a, cs: ConstraintSet):
         super().__init__(a, cs)
-        if not cs.levels or self.k_red is None:
-            raise InvalidArgumentError("multigrid needs refinement levels and a kernel direction")
+        if not cs.levels:
+            raise InvalidArgumentError("multigrid needs refinement levels")
         self._levels = []  # (A, smoother, P, P^T), finest first
         a_l, c_l, pts = self.a_red, self.c_red, self.points
         for p, (i, j) in itertools.zip_longest(cs.levels, cs.pairs, fillvalue=np.empty((2, 0), int)):
@@ -339,11 +342,11 @@ class MultigridConstrainedSolver(ReducedSystem):
             a_l, c_l = (pt @ a_l @ p).tocsr(), pt @ c_l
             pts = (pt @ pts) / (pt @ np.ones(p.shape[0]))[:, None]
         # c_l.k_l = c.(P k_l) = c.k != 0: the bordered coarsest matrix is regular
-        self._coarse = FactorizedConstrainedSolver(a_l, ConstraintSet(a_l.shape[0], pts, mean_vector=c_l))
+        self._coarse = _bordered_lu(a_l, c_l, pts)[1]
 
     def _vcycle(self, r, level=0):
         if level == len(self._levels):
-            return self._coarse.solve_reduced(r)
+            return self._coarse(r)
         a, smooth, p, pt = self._levels[level]
         x = smooth(r)
         for _ in range(MG_SMOOTHING - 1):
@@ -381,11 +384,6 @@ class JacobiConstrainedSolver(ReducedSystem):
 
     def __init__(self, a, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None):
         super().__init__(a, cs)
-        if self.c_red is not None and self.k_red is None:
-            # the CG projection needs the kernel direction; without it the mean
-            # constraint is only enforceable through the bordered system
-            raise InvalidArgumentError(
-                "mean constraint without a kernel direction requires the direct path")
         self.tol, self.maxiter = float(tol), int(20 * self.n_red if maxiter is None else maxiter)
 
     def solve_reduced(self, b_red):
@@ -416,25 +414,26 @@ def safe_norm(x):
 def constrained_solver(a, cs: ConstraintSet):
     """The solver ``method="auto"`` builds for A: multigrid CG from
     MG_MIN_UNKNOWNS reduced unknowns of a constraint set with refinement
-    levels and a kernel direction, the bordered sparse LU otherwise."""
-    mg = cs.levels and cs.kernel is not None and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
+    levels, the bordered sparse LU otherwise."""
+    mg = cs.levels and cs.levels[0].shape[0] >= MG_MIN_UNKNOWNS
     return (MultigridConstrainedSolver if mg else FactorizedConstrainedSolver)(a, cs)
 
 
 def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, method="auto",
                       solver=None):
-    """Solve A x = b, for a square SciPy sparse matrix A, subject to the constraint set.
+    """Solve A x = b, for a square SciPy sparse matrix A, subject to the
+    constraint set, whose mean functional and kernel every method requires.
 
     Returns a ConstrainedSolution whose ``x`` satisfies the elimination map
     exactly and c.x = 0.  The default ``method="auto"`` solves by
     ``constrained_solver``: the bordered sparse LU (``"splu"``) or multigrid
-    CG (``"mg-cg"``).  ``method="cg"``
-    runs Jacobi-preconditioned CG to the relative residual ``tol`` within
-    ``maxiter`` iterations, and raises NoConvergenceError when it does not
-    reach it.  Every method reports the achieved reduced relative residual
-    off the mean functional, where the Lagrange multiplier lives, and the
-    normwise backward error; above DIRECT_RESIDUAL_TOL the system is numerically
-    singular and SingularSystemError is raised.  A ``solver`` built for A is used as is.
+    CG (``"mg-cg"``).  ``method="cg"`` runs Jacobi-preconditioned CG to the
+    relative residual ``tol`` within ``maxiter`` iterations, and raises
+    NoConvergenceError when it does not reach it.  Every method reports the
+    achieved reduced relative residual off the mean functional, where the
+    Lagrange multiplier lives, and the normwise backward error; above
+    DIRECT_RESIDUAL_TOL the system is numerically singular and
+    SingularSystemError is raised.  A ``solver`` built for A is used as is.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (a.shape[0],):
@@ -445,21 +444,17 @@ def solve_constrained(a, b, cs: ConstraintSet, tol=DEFAULT_TOL, maxiter=None, me
                      else JacobiConstrainedSolver(a, cs, tol, maxiter))
     b_red = red.reduce_rhs(b)
     bnorm = safe_norm(b_red)
-    if red.k_red is not None and bnorm > 0:
-        kb = float(red.k_red @ b_red)
-        rel = abs(kb) / (safe_norm(red.k_red) * bnorm)
-        if rel > KERNEL_RHS_TOL:
-            raise IncompatibleRhsError(
-                f"rhs has kernel component {rel:.3e} (tolerance {KERNEL_RHS_TOL:.1e}); "
-                "project the sources first")
+    rel = abs(float(red.k_red @ b_red)) / (safe_norm(red.k_red) * bnorm) if bnorm > 0 else 0.0
+    if rel > KERNEL_RHS_TOL:
+        raise IncompatibleRhsError(f"rhs has kernel component {rel:.3e} (tolerance "
+                                   f"{KERNEL_RHS_TOL:.1e}); project the sources first")
     x_red = red.solve_reduced(b_red)
     r = red.a_red @ x_red - b_red
-    if red.c_red is not None:  # A x + mu c = b: the multiplier's share mu c is no error
-        c = np.ldexp(red.c_red, -_exponent(red.c_red))  # c.c cannot overflow; same bits
-        r -= c * ((c @ r) / (c @ c))
+    eta = red.backward_error(x_red, b_red, r)
+    c = np.ldexp(red.c_red, -_exponent(red.c_red))  # c.c cannot overflow; same bits
+    r -= c * ((c @ r) / (c @ c))  # A x + mu c = b: the multiplier's share mu c is no error
     res = safe_norm(r) / (bnorm if bnorm > 0 else 1.0)
     if not res <= DIRECT_RESIDUAL_TOL:
         raise SingularSystemError(f"constrained system is numerically singular: {red.method} solve "
                                   f"residual {res:.3e} > {DIRECT_RESIDUAL_TOL:.0e}")
-    return ConstrainedSolution(red.expand(x_red), red.iterations, res, red.method,
-                               red.backward_error(x_red, b_red))
+    return ConstrainedSolution(red.expand(x_red), red.iterations, res, red.method, eta)

@@ -16,13 +16,11 @@ from bse import mesh as meshmod
 def _dense_bordered_solve(a, b, cs):
     """Reference constrained solve on small systems: numpy.linalg.solve of the
     dense bordered system [[R^T A R, R^T c], [c^T R, 0]], with R the
-    trace-elimination map (identity without elimination) and no border
-    without a mean constraint.  ``b`` is a vector or a block of columns."""
+    trace-elimination map (identity without elimination).  ``b`` is a vector
+    or a block of columns."""
     r = cs.reduction_matrix().toarray() if cs.has_elimination else np.eye(cs.n)
     a_red = r.T @ a.toarray() @ r
     b_red = r.T @ np.asarray(b, dtype=np.float64)
-    if cs.mean_vector is None:
-        return r @ np.linalg.solve(a_red, b_red)
     c = r.T @ cs.mean_vector
     n = a_red.shape[0]
     big = np.zeros((n + 1, n + 1))
@@ -40,13 +38,9 @@ def _default_order_solve(a, b, cs):
     nested-dissection order.  Returns the full-space solution and the
     ``SuperLU`` object."""
     red = linalg.ReducedSystem(a, cs)
-    if red.c_red is None:
-        big = red.a_red.tocsc()
-    else:
-        c = sp.csc_matrix(red.c_red.reshape(-1, 1))
-        big = sp.bmat([[red.a_red, c], [c.T, None]], format="csc")
-    lu = _splu(big)
-    rhs = np.concatenate([red.reduce_rhs(b), np.zeros(big.shape[0] - red.n_red)])
+    c = sp.csc_matrix(red.c_red.reshape(-1, 1))
+    lu = _splu(sp.bmat([[red.a_red, c], [c.T, None]], format="csc"))
+    rhs = np.concatenate([red.reduce_rhs(b), np.zeros(1)])
     return red.expand(lu.solve(rhs)[:red.n_red]), lu
 
 

@@ -653,19 +653,22 @@ _INT_KEYS = [("geometry", "n_boundary", "eig2"), ("geometry", "refine", "eig2"),
              ("oracle", "m_max", "oracle")]
 _FLOAT_KEYS = [("params", key, "oracle") for key in ("K", "L", "alpha", "beta", "gamma")]
 _FLOAT_KEYS.append(("oracle", "lambda_max", "oracle"))
+_STR_KEYS = [("sources", "f", "solve2"), ("sources", "g", "solve2")]
 
 
 @pytest.mark.parametrize("section,key,task,value",
                          [(*k, v) for k in _INT_KEYS for v in (1.7, 2.0, True, "2", None)]
                          + [(*k, v) for k in _FLOAT_KEYS
-                            for v in (True, False, "2", None, [1.0], float("nan"), 10 ** 400)],
+                            for v in (True, False, "2", None, [1.0], float("nan"), 10 ** 400)]
+                         + [(*k, v) for k in _STR_KEYS for v in (1, True, None, [1])],
                          ids=lambda v: repr(v)[:12] if not isinstance(v, str) else v)
 def test_config_values_are_not_coerced(tmp_path, section, key, task, value):
-    # integer keys take JSON integers only, float keys finite JSON numbers:
-    # 1.7 and true used to run as refine 1, "2" as refine 2; an integer
-    # beyond the float range is no finite number either
+    # integer keys take JSON integers only, float keys finite JSON numbers and
+    # source expressions JSON strings: 1.7 and true used to run as refine 1,
+    # "2" as refine 2, 1 as the source "1", and true as a parse error about
+    # 'True'; an integer beyond the float range is no finite number either
     geometry = {"type": "square" if key == "n_per_side" else "disk", "n_boundary": 16}
-    cfg = {"task": task, "geometry": geometry, "eig": {"k": 2},
+    cfg = {"task": task, "geometry": geometry, "eig": {"k": 2}, "sources": {"f": "0", "g": "0"},
            "oracle": {"m_max": 1, "lambda_max": 5.0}, "output": {"dir": str(tmp_path / "out")}}
     cfg.setdefault(section, {})[key] = value
     assert cli.run(write_config(tmp_path, "cfg.json", cfg)) == 2

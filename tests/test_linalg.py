@@ -170,16 +170,18 @@ def test_cg_and_dense_paths_agree(n, dense_bordered_solve):
         np.testing.assert_allclose(x, x_ref, atol=1e-9 * max(1.0, np.abs(x_ref).max()))
 
 
-def _definite_system(n=40):
-    # diagonally dominant, with neither mean constraint nor kernel
+def _laplacian_system(n=40):
+    # a graph Laplacian with kernel and mean ones, and a load orthogonal to the kernel
     rng = np.random.default_rng(2)
-    off = sp.random(n, n, density=0.1, random_state=np.random.RandomState(9))
-    a = (sp.diags(2.0 + rng.uniform(0, 1, n)) + 0.05 * (off + off.T)).tocsr()
-    return a, rng.standard_normal(n), ConstraintSet(n=n, points=line_points(n))
+    a = _graph_laplacian(n, rng)
+    b = rng.standard_normal(n)
+    b -= np.mean(b)
+    return a, b, ConstraintSet(n=n, points=line_points(n), mean_vector=np.ones(n), kernel=np.ones(n))
 
 
 def test_cg_solves_a_definite_system():
-    a, b, cs = _definite_system()
+    # definite on the mean-zero space: the multiplier vanishes and A x = b
+    a, b, cs = _laplacian_system()
     sol = linalg.solve_constrained(a, b, cs, tol=1e-13, method="cg")
     assert sol.method == "cg" and sol.iterations > 0
     np.testing.assert_allclose(a @ sol.x, b, atol=1e-10)
@@ -188,21 +190,24 @@ def test_cg_solves_a_definite_system():
 @pytest.mark.parametrize("maxiter", (3, 0))
 def test_cg_that_misses_tol_raises(maxiter):
     # 1e-13 takes more than 3 iterations; SciPy's cg reports success after 0
-    a, b, cs = _definite_system()
+    a, b, cs = _laplacian_system()
     with pytest.raises(NoConvergenceError):
         linalg.solve_constrained(a, b, cs, tol=1e-13, maxiter=maxiter, method="cg")
 
 
 def test_elimination_map_reconstruction():
-    # eliminate x2 = 0.5 * x0 on a 3x3 SPD system
-    a = CsrMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0])
+    # eliminate x2 = 0.5 * x0 on A = D^T D, D = [[1, -1, 0], [1, 0, -2]], whose
+    # kernel (2, 2, 1) satisfies the elimination
+    d = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -2.0]])
+    a = sp.csr_matrix(d.T @ d)
     cs = ConstraintSet(n=3, points=line_points(3), elim_index=np.array([2]),
-                       elim_target=np.array([0]), elim_weight=np.array([0.5]))
-    b = np.array([1.0, 1.0, 1.0])
+                       elim_target=np.array([0]), elim_weight=np.array([0.5]),
+                       mean_vector=np.ones(3), kernel=np.array([2.0, 2.0, 1.0]))
+    b = np.array([0.0, 1.0, -2.0])
     sol = linalg.solve_constrained(a, b, cs)
     assert sol.x[2] == pytest.approx(0.5 * sol.x[0], rel=1e-14)
-    # reduced system: diag(2 + 0.25*4, 3), rhs (1 + 0.5, 1)
-    np.testing.assert_allclose(sol.x[:2], [1.5 / 3.0, 1.0 / 3.0], rtol=1e-12)
+    # reduced system: [[1, -1], [-1, 1]] y = (0 - 0.5 * 2, 1) with the mean 1.5 y0 + y1 = 0
+    np.testing.assert_allclose(sol.x[:2], [-0.4, 0.6], rtol=1e-12)
 
 
 def test_elimination_overlap_rejected():
@@ -211,18 +216,23 @@ def test_elimination_overlap_rejected():
                       elim_target=np.array([1]), elim_weight=np.array([1.0]))
 
 
-def test_mean_constraint_without_kernel_uses_bordered_path(dense_bordered_solve):
-    # definite system + mean constraint: Lagrange-constrained solve
-    a = CsrMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
-    cs = ConstraintSet(n=2, points=line_points(2), mean_vector=np.array([1.0, 1.0]))
-    sol = linalg.solve_constrained(a, np.array([1.0, 3.0]), cs)
-    assert sol.method == "splu"
-    np.testing.assert_allclose(dense_bordered_solve(a, np.array([1.0, 3.0]), cs),
-                               [-1.0, 1.0], atol=1e-13)
-    np.testing.assert_allclose(sol.x, [-1.0, 1.0], atol=1e-13)
-    assert abs(np.sum(sol.x)) <= 1e-13
-    with pytest.raises(InvalidArgumentError):
-        linalg.solve_constrained(a, np.array([1.0, 3.0]), cs, method="cg")
+def test_solvers_require_the_kernel_and_the_mean():
+    # a set without either is rejected when any solver is built, the
+    # multigrid one before it reads the levels
+    forms = assembly.assemble_basic(mesh.generate_disk(16, 1))
+    a = assembly.assemble_coupled(forms, 1.0, 1.0)
+    full = assembly.build_constraints(forms, 1.0, 1.0, 1.0)
+    fields = dict(n=full.n, points=full.points, mean_vector=full.mean_vector, kernel=full.kernel,
+                  levels=full.levels, pairs=full.pairs)
+    for missing in ("kernel", "mean_vector"):
+        cs = ConstraintSet(**{**fields, missing: None})
+        for build in (linalg.FactorizedConstrainedSolver, linalg.MultigridConstrainedSolver,
+                      linalg.JacobiConstrainedSolver, linalg.constrained_solver):
+            with pytest.raises(InvalidArgumentError, match="mean functional and the kernel"):
+                build(a, cs)
+        for method in ("auto", "cg"):
+            with pytest.raises(InvalidArgumentError, match="mean functional and the kernel"):
+                linalg.solve_constrained(a, np.zeros(full.n), cs, method=method)
 
 
 def test_factorized_solver_matches_single_solves(dense_bordered_solve):
@@ -264,13 +274,18 @@ def test_direct_solve_checks_its_residual():
 
 
 def test_backward_error_of_a_nan_solution_is_nan():
-    red = linalg.ReducedSystem(sp.identity(3, format="csr"), ConstraintSet(n=3, points=line_points(3)))
-    b = np.ones(3)
-    assert red.backward_error(np.ones(3), b) == 0.0
-    assert red.backward_error(np.zeros(3), np.zeros(3)) == 0.0
+    cs = ConstraintSet(n=3, points=line_points(3), mean_vector=np.ones(3), kernel=np.ones(3))
+    red = linalg.ReducedSystem(path_laplacian(), cs)
+
+    def eta(x, b):
+        return red.backward_error(x, b, b - red.a_red @ x)
+
+    b = np.array([1.0, 0.0, -1.0])
+    assert eta(b, b) == 0.0  # A (1, 0, -1) = (1, 0, -1)
+    assert eta(np.zeros(3), np.zeros(3)) == 0.0
     for x in (np.array([np.nan, 1.0, 1.0]), np.full(3, np.nan)):
-        assert np.isnan(red.backward_error(x, b))
-        assert not red.backward_error(x, b) <= linalg.MG_BACKWARD_TOL
+        assert np.isnan(eta(x, b))
+        assert not eta(x, b) <= linalg.MG_BACKWARD_TOL
 
 
 def test_factorizations_per_solve(splu_calls):
@@ -372,6 +387,18 @@ def test_permuted_solver_block_matches_single_solves():
 def test_constraint_points_validation(points):
     with pytest.raises(InvalidArgumentError, match="points"):
         ConstraintSet(n=3, points=points, mean_vector=np.ones(3), kernel=np.ones(3))
+
+
+@pytest.mark.parametrize("name,value", [("mean_vector", np.ones(2)), ("kernel", np.ones(2)),
+                                        ("mean_vector", np.array([1.0, np.nan, 1.0])),
+                                        ("kernel", np.array([1.0, np.inf, 1.0]))],
+                         ids=["short-mean", "short-kernel", "nan-mean", "inf-kernel"])
+def test_constraint_mean_and_kernel_validation(name, value):
+    # these ended as a dimension mismatch in a product, an IndexError, an exactly
+    # singular factor and an annihilated kernel on the path Laplacian
+    fields = {"mean_vector": np.ones(3), "kernel": np.ones(3), name: value}
+    with pytest.raises(InvalidArgumentError, match=f"{name} must be a finite"):
+        ConstraintSet(n=3, points=line_points(3), **fields)
 
 
 # ---------------------------------------------------------------------------
