@@ -20,23 +20,26 @@ def kernel_backend():
 def tri_entries(vertices, triangles):
     """Vectorized per-triangle stiffness/mass entries.
 
-    Returns (rows, cols, stiff_vals, mass_vals, areas); 9 COO entries per
-    triangle in row-major local order.
+    Returns (rows, cols, entries, areas); 9 COO entries per triangle in
+    row-major local order, int32 indices, stiffness + i mass as ``entries``.
+    Each symmetric stiffness pair is computed once: b_i b_j == b_j b_i.
     """
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
+    x, y = vertices.take(triangles, axis=0).T  # (3, nt) each
     # b_i, c_i are the gradient components of the barycentric functions
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    area = 0.5 * area2
-    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    i, j = np.triu_indices(3)  # the pairs 00 01 02 11 12 22
+    stiff = (b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area)[:, None]
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mass = area[:, None, None] * mref[None, :, :]
-    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(triangles, (1, 3)).reshape(-1)
-    return rows, cols, stiff.reshape(-1), mass.reshape(-1), area
+    entries = np.empty((len(triangles), 9), dtype=np.complex128)
+    # "clip" (the indices are in range) writes the strided ``out`` unbuffered
+    np.take(stiff, [0, 1, 2, 1, 3, 4, 2, 4, 5], axis=1, out=entries.real, mode="clip")
+    np.multiply(area[:, None], mref.ravel(), out=entries.imag)
+    t = triangles.astype(np.int32 if len(vertices) <= np.iinfo(np.int32).max else np.int64)
+    rows = np.repeat(t, 3, axis=1).reshape(-1)
+    cols = np.tile(t, (1, 3)).reshape(-1)
+    return rows, cols, entries.reshape(-1), area
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,15 @@ def _from_blocks(n, blocks):
 
 
 def assemble_basic(mesh: Mesh) -> BasicForms:
-    """P1 stiffness and consistent mass on the bulk and the boundary polyline."""
-    rows, cols, stiff, mass, _ = _kernels.tri_entries(mesh.vertices, mesh.triangles)
+    """P1 stiffness and consistent mass on the bulk and the boundary polyline;
+    the bulk pair is split from one CSR conversion (README, "Kernels")."""
+    rows, cols, entries, _ = _kernels.tri_entries(mesh.vertices, mesh.triangles)
     nb = mesh.n_vertices
-    a_bulk = CsrMatrix.from_coo(nb, rows, cols, stiff)
-    m_bulk = CsrMatrix.from_coo(nb, rows, cols, mass)
+    both = sp.csr_matrix(sp.coo_matrix((entries, (rows, cols)), shape=(nb, nb)))
+    a_bulk, m_bulk = (CsrMatrix((np.ascontiguousarray(part), both.indices, both.indptr), shape=(nb, nb))
+                      for part in (both.data.real, both.data.imag))
+    for arr in (a_bulk.indptr, a_bulk.indices, a_bulk.data, m_bulk.indptr, m_bulk.indices, m_bulk.data):
+        arr.setflags(write=False)
 
     ns = mesh.n_surface
     lengths = mesh.surface_lengths()

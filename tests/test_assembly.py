@@ -11,6 +11,7 @@ from bse.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
 )
+from bse.linalg import CsrMatrix
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,39 @@ def test_robin_coupling_vanishes_on_the_dirichlet_space(refine):
         for k_like in (1e-3, 1.0, 1e3):
             diff = r.T @ (assembly.assemble_coupled(forms, k_like, alpha, gamma) - a0) @ r
             assert abs(diff).max() <= 1e-13 * scale, (alpha, gamma, k_like)
+
+
+def _two_conversions(msh):
+    """The bulk stiffness and mass as two separate COO -> CSR conversions of
+    all nine products per triangle, with int64 indices."""
+    p = msh.vertices[msh.triangles]
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
+    mass = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    rows = np.repeat(msh.triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(msh.triangles, (1, 3)).reshape(-1)
+    return [CsrMatrix.from_coo(msh.n_vertices, rows, cols, v.reshape(-1)) for v in (stiff, mass)]
+
+
+@pytest.mark.parametrize("make", [lambda: mesh.generate_square(8)] + [
+    lambda n=n, r=r: mesh.generate_disk(n, r) for n in (16, 64) for r in range(4)],
+    ids=["square8"] + [f"disk{n}-r{r}" for n in (16, 64) for r in range(4)])
+def test_bulk_forms_are_bit_identical_to_two_conversions(make):
+    # one complex conversion for both matrices, symmetric pairs computed once:
+    # the bytes of two real conversions, the square's zero entries included
+    msh = make()
+    forms = assembly.assemble_basic(msh)
+    for got, ref in zip((forms.a_bulk, forms.m_bulk), _two_conversions(msh)):
+        assert type(got) is CsrMatrix
+        for name in ("indptr", "indices", "data"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), name
+            assert not g.flags.writeable
+    for name in ("indptr", "indices"):
+        assert np.shares_memory(getattr(forms.a_bulk, name), getattr(forms.m_bulk, name))
 
 
 def test_params_validation():

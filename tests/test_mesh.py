@@ -422,3 +422,30 @@ def test_rejects_euler_characteristic_other_than_one():
     verts = np.vstack([SQUARE, [[5.0, 5.0]]])
     with pytest.raises(InvariantViolationError, match="Euler"):
         mesh.Mesh(verts, SQUARE_TRIS, np.array([0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_refinement_keeps_every_invariant(n):
+    # a child of _refine is checked for its geometry only; every level still
+    # passes the full check, with the same measures bit for bit
+    m, levels = mesh.generate_disk(n, 5), 0
+    while m is not None:
+        full = mesh._validate(m.vertices, m.triangles, m.surface_nodes)
+        kept = mesh.measures(m)
+        assert (full.area.hex(), full.perimeter.hex()) == (kept.area.hex(), kept.perimeter.hex())
+        assert not any(a.flags.writeable for a in (m.vertices, m.triangles, m.surface_nodes))
+        m, levels = m.parent, levels + 1
+    assert levels == 6
+
+
+def test_direct_mesh_with_a_parent_is_fully_validated():
+    parent = mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1, 2, 3]))
+    with pytest.raises(InvariantViolationError, match="visits a node twice"):
+        mesh.Mesh(SQUARE, SQUARE_TRIS, np.array([0, 1, 2, 3, 0]), parent=parent)
+
+
+def test_refined_mesh_check_catches_an_inverted_triangle():
+    # _refine moves boundary midpoints onto the unit circle, which inverts
+    # triangles of the unit square
+    with pytest.raises(InvariantViolationError, match="triangle 1 has signed area -6.250e-02"):
+        mesh._refine(mesh.generate_square(2))

@@ -4,11 +4,12 @@
 
 Runs ``bse run --threads 1`` with ``PYTHONPATH=TREE/src`` for each task of
 TASKS on the n_boundary = 64 disk at refine 1-3, with K in {0, 1}, L in
-{1, 2} and beta in {1, 0.5} (alpha 1.5, gamma 0.3), and ``bse mesh`` and
-``bse oracle`` once per refine and per K.  OUT.json maps each artifact,
-``<run>/<file>``, to its sha256; ``summary.json`` is hashed without its
-timings and ``peak_rss_mb``.  The keys are sorted, one per line, so the
-files of two trees compare by ``diff``.
+{1, 2} and beta in {1, 0.5} (alpha 1.5, gamma 0.3), and at refine 4 with K
+in {0, 1}, L = 1 and beta = 1; ``bse mesh`` for the disk at refine 0-5 and
+the 100-cell square, and ``bse oracle`` once per K.  OUT.json maps each
+artifact, ``<run>/<file>``, to its sha256; ``summary.json`` is hashed
+without its timings and ``peak_rss_mb``.  The keys are sorted, one per
+line, so the files of two trees compare by ``diff``.
 """
 
 import hashlib
@@ -21,6 +22,10 @@ import tempfile
 
 TASKS = ("solve2", "solve4", "eig2", "eig4", "poincare", "convergence")
 REFINES, KS, LS, BETAS = (1, 2, 3), (0.0, 1.0), (1.0, 2.0), (1.0, 0.5)
+CASES = (*itertools.product(TASKS, REFINES, KS, LS, BETAS),
+         *itertools.product(TASKS, (4,), KS, (1.0,), (1.0,)))
+MESHES = [(f"mesh-r{r}", ("--n", "64", "--refine", str(r))) for r in range(6)]
+MESHES.append(("mesh-square100", ("--geometry", "square", "--n", "100")))
 ALPHA, GAMMA = 1.5, 0.3
 UNTIMED = ("seconds", "write_seconds", "seconds_per_level", "peak_rss_mb")
 
@@ -41,7 +46,7 @@ def _digest(path):
 
 def runs(tmp):
     """(name, bse arguments) of every run, writing under ``tmp``."""
-    for task, refine, k, l, beta in itertools.product(TASKS, REFINES, KS, LS, BETAS):
+    for task, refine, k, l, beta in CASES:
         name = f"{task}-r{refine}-K{k:g}-L{l:g}-b{beta:g}"
         cfg = {"task": task, "geometry": {"type": "disk", "n_boundary": 64, "refine": refine},
                "params": {"K": k, "L": l, "alpha": ALPHA, "beta": beta, "gamma": GAMMA},
@@ -52,9 +57,8 @@ def runs(tmp):
         with open(path, "w", encoding="ascii") as fh:
             json.dump(cfg, fh)
         yield name, ("run", path, "--threads", "1")
-    for refine in REFINES:
-        yield f"mesh-r{refine}", ("mesh", "--n", "64", "--refine", str(refine),
-                                  "--out", os.path.join(tmp, f"mesh-r{refine}", "mesh.txt"))
+    for name, args in MESHES:
+        yield name, ("mesh", *args, "--out", os.path.join(tmp, name, "mesh.txt"))
     for k in KS:
         yield f"oracle-K{k:g}", ("oracle", "--K", str(k), "--alpha", str(ALPHA),
                                  "--gamma", str(GAMMA), "--out",
